@@ -32,8 +32,8 @@ from .pattern import (
     op_isomorphic,
 )
 from .stringmatch import MatchStats, match_string
-from .tree import TextTree, TreeValidationError, build_tree, compute_subtree_heights
-from .treematch import TreeMatchReport, match_tree, match_tree_on_path_equals_string
+from .tree import TextTree, TreeValidationError, build_tree
+from .treematch import TreeMatchReport, match_tree
 
 __all__ = [
     "AdversarialInstance",
@@ -50,7 +50,6 @@ __all__ = [
     "build_tree",
     "compute_border_array",
     "compute_lmax_lmin",
-    "compute_subtree_heights",
     "extend_isomorphism",
     "gen_adversarial",
     "gen_random_dag",
@@ -60,7 +59,6 @@ __all__ = [
     "match_dag_explored",
     "match_string",
     "match_tree",
-    "match_tree_on_path_equals_string",
     "op_isomorphic",
     "opsm",
 ]

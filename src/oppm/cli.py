@@ -13,11 +13,18 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 
-from .dag import DagValidationError, TextDag, build_dag, build_dasg, match_dag, match_dag_explored
+from .dag import (
+    DagValidationError,
+    TextDag,
+    build_dag,
+    build_dasg,
+    match_dag,
+    match_dag_explored,
+    opsm,
+)
 from .gen import gen_adversarial, gen_random_dag, gen_random_string, gen_random_tree
-from .oracles import naive_match_string, naive_match_tree, naive_opsm
+from .oracles import OPSM_TEXT_LIMIT, naive_match_string, naive_match_tree, naive_opsm
 from .pattern import build_pattern_tables
 from .stringmatch import match_string
 from .tree import TextTree, TreeValidationError, build_tree
@@ -27,10 +34,9 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 # size caps for --oracle reroutes; the brute-force paths are quadratic
-# (strings, trees) or exponential (opsm)
+# (strings, trees) or exponential (opsm, capped by OPSM_TEXT_LIMIT)
 ORACLE_STRING_LIMIT = 2048
 ORACLE_TREE_LIMIT = 2048
-ORACLE_OPSM_LIMIT = 20
 
 
 class UsageError(Exception):
@@ -47,19 +53,6 @@ class ParseError(ValueError):
         self.msg = msg
         loc = f"{path}:{line}" if col is None else f"{path}:{line}:{col}"
         super().__init__(f"{loc}: {msg}")
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    prune: bool = True
-    oracle: bool = False
-    stats: bool = False
-    witness: bool = False
-    seed: int = 0
-    output: str | None = None
-    params: dict[str, object] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +97,8 @@ def parse_pattern_file(path: str) -> tuple[int, ...]:
     return tuple(_int_token(path, lineno, tok) for tok in toks)
 
 
-def parse_string_file(path: str) -> tuple[int, ...]:
-    """Text strings use the same one-line format as patterns."""
-    return parse_pattern_file(path)
-
-
 def parse_tree_file(path: str) -> TextTree:
+    """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
     rows = _content_rows(path)
     if not rows:
         raise ParseError(path, 1, "missing 'tree N' header")
@@ -128,30 +117,21 @@ def parse_tree_file(path: str) -> TextTree:
             f"expected {n - 1} edge lines, found {len(rows) - 1}",
         )
     edges = []
-    seen = set()
     for lineno, toks in rows[1:]:
         if len(toks) != 3:
             raise ParseError(
                 path, lineno, "expected 'parent child label'", toks[0].start() + 1
             )
         u, v, lab = (_int_token(path, lineno, tok) for tok in toks)
-        if not 0 <= u < n:
-            raise ParseError(path, lineno, f"unknown parent id {u}")
-        if not 0 <= v < n:
-            raise ParseError(path, lineno, f"unknown child id {v}")
-        if v == 0:
-            raise ParseError(path, lineno, "node 0 is the root and cannot be a child")
-        if v in seen:
-            raise ParseError(path, lineno, f"duplicate child {v}")
-        seen.add(v)
         edges.append((u, v, lab))
     try:
         return build_tree(edges)
     except TreeValidationError as exc:
-        raise ParseError(path, header_line, str(exc)) from exc
+        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
 
 
 def parse_dag_file(path: str) -> TextDag:
+    """Header 'dag V E' and E edge lines; build_dag checks the structure."""
     rows = _content_rows(path)
     if not rows:
         raise ParseError(path, 1, "missing 'dag V E' header")
@@ -179,17 +159,11 @@ def parse_dag_file(path: str) -> TextDag:
                 path, lineno, "expected 'source target label'", toks[0].start() + 1
             )
         u, v, lab = (_int_token(path, lineno, tok) for tok in toks)
-        if not 0 <= u < v_count:
-            raise ParseError(path, lineno, f"unknown source vertex {u}")
-        if not 0 <= v < v_count:
-            raise ParseError(path, lineno, f"unknown target vertex {v}")
-        if u == v:
-            raise ParseError(path, lineno, f"cycle detected: self-loop at vertex {u}")
         edges.append((u, lab, v))
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
-        raise ParseError(path, header_line, str(exc)) from exc
+        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +188,6 @@ def dag_file_text(dag: TextDag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dag_file(path: str, dag: TextDag) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dag_file_text(dag))
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -228,28 +197,27 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand execution
+# subcommand handlers; each takes the parsed argparse.Namespace
 
 
-def _load_pattern(config: RunConfig) -> tuple[int, ...]:
-    path = config.inputs["pattern"]
+def _load_pattern(path: str) -> tuple[int, ...]:
     p = parse_pattern_file(path)
     if not p:
         raise ParseError(path, 1, "pattern must be non-empty")
     return p
 
 
-def _check_stats_flag(config: RunConfig) -> None:
-    if config.stats and config.oracle:
+def _check_stats_flag(ns: argparse.Namespace) -> None:
+    if ns.stats and ns.oracle:
         raise UsageError("--stats cannot be combined with --oracle")
 
 
-def _run_match_string(config: RunConfig) -> int:
-    _check_stats_flag(config)
-    p = _load_pattern(config)
-    t = parse_string_file(config.inputs["text"])
+def _match_string(ns: argparse.Namespace) -> int:
+    _check_stats_flag(ns)
+    p = _load_pattern(ns.pattern)
+    t = parse_pattern_file(ns.text)
     lines = []
-    if config.oracle:
+    if ns.oracle:
         if len(t) > ORACLE_STRING_LIMIT:
             raise UsageError(
                 f"--oracle is limited to texts of length <= {ORACLE_STRING_LIMIT}"
@@ -259,18 +227,18 @@ def _run_match_string(config: RunConfig) -> int:
     else:
         positions, stats = match_string(build_pattern_tables(p), t)
     lines.extend(str(i) for i in positions)
-    if config.stats and stats is not None:
+    if ns.stats and stats is not None:
         lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
-    _emit("".join(line + "\n" for line in lines), config.output)
+    _emit("".join(line + "\n" for line in lines), ns.output)
     return 0
 
 
-def _run_match_tree(config: RunConfig) -> int:
-    _check_stats_flag(config)
-    p = _load_pattern(config)
-    tree = parse_tree_file(config.inputs["tree"])
+def _match_tree(ns: argparse.Namespace) -> int:
+    _check_stats_flag(ns)
+    p = _load_pattern(ns.pattern)
+    tree = parse_tree_file(ns.tree)
     lines = []
-    if config.oracle:
+    if ns.oracle:
         if tree.node_count > ORACLE_TREE_LIMIT:
             raise UsageError(
                 f"--oracle is limited to trees with <= {ORACLE_TREE_LIMIT} nodes"
@@ -278,101 +246,99 @@ def _run_match_tree(config: RunConfig) -> int:
         nodes = naive_match_tree(p, tree)
         stats = None
     else:
-        report = match_tree(build_pattern_tables(p), tree, prune=config.prune)
+        report = match_tree(build_pattern_tables(p), tree, prune=ns.prune)
         nodes = report.matched_nodes
         stats = report.stats
     lines.extend(str(v) for v in nodes)
-    if config.stats and stats is not None:
+    if ns.stats and stats is not None:
         lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
-    _emit("".join(line + "\n" for line in lines), config.output)
+    _emit("".join(line + "\n" for line in lines), ns.output)
     return 0
 
 
-def _run_match_dag(config: RunConfig) -> int:
-    if config.oracle:
+def _match_dag(ns: argparse.Namespace) -> int:
+    if ns.oracle:
         raise UsageError(
             "match-dag has no brute-force oracle; use opsm --oracle for "
             "subsequence-graph texts"
         )
-    p = _load_pattern(config)
-    dag = parse_dag_file(config.inputs["dag"])
+    p = _load_pattern(ns.pattern)
+    dag = parse_dag_file(ns.dag)
     witness = match_dag(build_pattern_tables(p), dag)
     if witness is None:
-        _emit("no\n", config.output)
+        _emit("no\n", ns.output)
     else:
         text = "yes\n"
-        if config.witness:
+        if ns.witness:
             text += " ".join(str(v) for v in witness) + "\n"
-        _emit(text, config.output)
+        _emit(text, ns.output)
     return 0
 
 
-def _run_build_dasg(config: RunConfig) -> int:
-    t = parse_string_file(config.inputs["text"])
-    _emit(dag_file_text(build_dasg(t)), config.output)
+def _build_dasg(ns: argparse.Namespace) -> int:
+    t = parse_pattern_file(ns.text)
+    _emit(dag_file_text(build_dasg(t)), ns.output)
     return 0
 
 
-def _run_opsm(config: RunConfig) -> int:
-    p = parse_pattern_file(config.inputs["pattern"])
-    t = parse_string_file(config.inputs["text"])
-    if config.oracle:
-        if len(t) > ORACLE_OPSM_LIMIT:
+def _opsm(ns: argparse.Namespace) -> int:
+    p = parse_pattern_file(ns.pattern)
+    t = parse_pattern_file(ns.text)
+    if ns.oracle:
+        if len(t) > OPSM_TEXT_LIMIT:
             raise UsageError(
-                f"--oracle is limited to texts of length <= {ORACLE_OPSM_LIMIT}"
+                f"--oracle is limited to texts of length <= {OPSM_TEXT_LIMIT}"
             )
         found = naive_opsm(p, t)
     else:
-        from .dag import opsm as opsm_fast
-
-        found = opsm_fast(p, t)
-    _emit("yes\n" if found else "no\n", config.output)
+        found = opsm(p, t)
+    _emit("yes\n" if found else "no\n", ns.output)
     return 0
 
 
-def _run_gen(config: RunConfig) -> int:
-    kind = config.subcommand.split()[1]
-    params = config.params
-    if kind == "adversarial":
-        h = params["height"]
-        m = params["pattern_length"] if params["pattern_length"] is not None else h - 2
-        try:
-            inst = gen_adversarial(h, m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        _emit(tree_file_text(inst.tree), params["tree_out"])
-        if params["pattern_out"] is not None:
-            _emit(pattern_file_text(inst.pattern), params["pattern_out"])
-        return 0
-    if kind == "random-string":
-        if params["length"] < 0:
-            raise UsageError("length cannot be negative")
-        if params["alphabet"] < 1:
-            raise UsageError("alphabet size must be at least 1")
-        seq = gen_random_string(params["length"], params["alphabet"], config.seed)
-        _emit(pattern_file_text(seq), config.output)
-        return 0
-    if kind == "random-tree":
-        if params["nodes"] < 1:
-            raise UsageError("node count must be at least 1")
-        if params["alphabet"] < 1:
-            raise UsageError("alphabet size must be at least 1")
-        tree = gen_random_tree(params["nodes"], params["alphabet"], config.seed)
-        _emit(tree_file_text(tree), config.output)
-        return 0
-    if kind == "random-dag":
-        if params["vertices"] < 1:
-            raise UsageError("vertex count must be at least 1")
-        if not 0.0 <= params["density"] <= 1.0:
-            raise UsageError("density must lie in [0, 1]")
-        if params["alphabet"] < 1:
-            raise UsageError("alphabet size must be at least 1")
-        dag = gen_random_dag(
-            params["vertices"], params["density"], params["alphabet"], config.seed
-        )
-        _emit(dag_file_text(dag), config.output)
-        return 0
-    raise UsageError(f"unknown gen subcommand: {kind}")
+def _gen_adversarial(ns: argparse.Namespace) -> int:
+    h = ns.height
+    m = ns.pattern_length if ns.pattern_length is not None else h - 2
+    try:
+        inst = gen_adversarial(h, m)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _emit(tree_file_text(inst.tree), ns.tree_out)
+    if ns.pattern_out is not None:
+        _emit(pattern_file_text(inst.pattern), ns.pattern_out)
+    return 0
+
+
+def _gen_random_string(ns: argparse.Namespace) -> int:
+    if ns.length < 0:
+        raise UsageError("length cannot be negative")
+    if ns.alphabet < 1:
+        raise UsageError("alphabet size must be at least 1")
+    seq = gen_random_string(ns.length, ns.alphabet, ns.seed)
+    _emit(pattern_file_text(seq), ns.output)
+    return 0
+
+
+def _gen_random_tree(ns: argparse.Namespace) -> int:
+    if ns.nodes < 1:
+        raise UsageError("node count must be at least 1")
+    if ns.alphabet < 1:
+        raise UsageError("alphabet size must be at least 1")
+    tree = gen_random_tree(ns.nodes, ns.alphabet, ns.seed)
+    _emit(tree_file_text(tree), ns.output)
+    return 0
+
+
+def _gen_random_dag(ns: argparse.Namespace) -> int:
+    if ns.vertices < 1:
+        raise UsageError("vertex count must be at least 1")
+    if not 0.0 <= ns.density <= 1.0:
+        raise UsageError("density must lie in [0, 1]")
+    if ns.alphabet < 1:
+        raise UsageError("alphabet size must be at least 1")
+    dag = gen_random_dag(ns.vertices, ns.density, ns.alphabet, ns.seed)
+    _emit(dag_file_text(dag), ns.output)
+    return 0
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -398,65 +364,40 @@ def organ_pipe_instance(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return p, tuple(t)
 
 
-def _run_bench(config: RunConfig) -> int:
-    kind = config.subcommand.split()[1]
-    params = config.params
-    if kind == "adversarial":
-        heights = sorted(_parse_int_list(params["heights"], "--heights"))
-        rows = ["h,N,m,goto,fail_pruned,fail_naive"]
-        for h in heights:
-            m = (
-                params["pattern_length"]
-                if params["pattern_length"] is not None
-                else h - 2
-            )
-            try:
-                inst = gen_adversarial(h, m)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            tables = build_pattern_tables(inst.pattern)
-            pruned = match_tree(tables, inst.tree, prune=True)
-            naive = match_tree(tables, inst.tree, prune=False)
-            rows.append(
-                f"{h},{inst.tree.node_count},{m},{pruned.stats.goto_count},"
-                f"{pruned.stats.fail_count},{naive.stats.fail_count}"
-            )
-        _emit("".join(row + "\n" for row in rows), config.output)
-        return 0
-    if kind == "dasg":
-        sizes = sorted(_parse_int_list(params["sizes"], "--sizes"))
-        rows = ["n,m,explored,matched,seconds"]
-        for n in sizes:
-            p, t = organ_pipe_instance(n)
-            tables = build_pattern_tables(p)
-            dag = build_dasg(t)
-            start = time.perf_counter()
-            witness, explored = match_dag_explored(tables, dag)
-            elapsed = time.perf_counter() - start
-            matched = "yes" if witness is not None else "no"
-            rows.append(f"{n},{len(p)},{explored},{matched},{elapsed:.6f}")
-        _emit("".join(row + "\n" for row in rows), config.output)
-        return 0
-    raise UsageError(f"unknown bench subcommand: {kind}")
+def _bench_adversarial(ns: argparse.Namespace) -> int:
+    heights = sorted(_parse_int_list(ns.heights, "--heights"))
+    rows = ["h,N,m,goto,fail_pruned,fail_naive"]
+    for h in heights:
+        m = ns.pattern_length if ns.pattern_length is not None else h - 2
+        try:
+            inst = gen_adversarial(h, m)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        tables = build_pattern_tables(inst.pattern)
+        pruned = match_tree(tables, inst.tree, prune=True)
+        naive = match_tree(tables, inst.tree, prune=False)
+        rows.append(
+            f"{h},{inst.tree.node_count},{m},{pruned.stats.goto_count},"
+            f"{pruned.stats.fail_count},{naive.stats.fail_count}"
+        )
+    _emit("".join(row + "\n" for row in rows), ns.output)
+    return 0
 
 
-def run(config: RunConfig) -> int:
-    cmd = config.subcommand
-    if cmd == "match-string":
-        return _run_match_string(config)
-    if cmd == "match-tree":
-        return _run_match_tree(config)
-    if cmd == "match-dag":
-        return _run_match_dag(config)
-    if cmd == "build-dasg":
-        return _run_build_dasg(config)
-    if cmd == "opsm":
-        return _run_opsm(config)
-    if cmd.startswith("gen "):
-        return _run_gen(config)
-    if cmd.startswith("bench "):
-        return _run_bench(config)
-    raise UsageError(f"unknown subcommand: {cmd}")
+def _bench_dasg(ns: argparse.Namespace) -> int:
+    sizes = sorted(_parse_int_list(ns.sizes, "--sizes"))
+    rows = ["n,m,explored,matched,seconds"]
+    for n in sizes:
+        p, t = organ_pipe_instance(n)
+        tables = build_pattern_tables(p)
+        dag = build_dasg(t)
+        start = time.perf_counter()
+        witness, explored = match_dag_explored(tables, dag)
+        elapsed = time.perf_counter() - start
+        matched = "yes" if witness is not None else "no"
+        rows.append(f"{n},{len(p)},{explored},{matched},{elapsed:.6f}")
+    _emit("".join(row + "\n" for row in rows), ns.output)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ms = sub.add_parser("match-string", help="find op-matching windows of a string")
+    ms.set_defaults(func=_match_string)
     ms.add_argument("pattern", help="pattern file")
     ms.add_argument("text", help="string file")
     ms.add_argument("--stats", action="store_true", help="append transition counts")
@@ -483,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--out", dest="output", help="write output to a file")
 
     mt = sub.add_parser("match-tree", help="find op-matching root-path windows")
+    mt.set_defaults(func=_match_tree)
     mt.add_argument("pattern", help="pattern file")
     mt.add_argument("tree", help="tree file")
     mt.add_argument(
@@ -496,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--out", dest="output", help="write output to a file")
 
     md = sub.add_parser("match-dag", help="find an op-matching path in a DAG")
+    md.set_defaults(func=_match_dag)
     md.add_argument("pattern", help="pattern file")
     md.add_argument("dag", help="DAG file")
     md.add_argument("--witness", action="store_true", help="print the witness path")
@@ -503,10 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     md.add_argument("--out", dest="output", help="write output to a file")
 
     bd = sub.add_parser("build-dasg", help="build the subsequence graph of a string")
+    bd.set_defaults(func=_build_dasg)
     bd.add_argument("text", help="string file")
     bd.add_argument("--out", dest="output", help="write the DAG file here")
 
     op = sub.add_parser("opsm", help="order-preserving subsequence decision")
+    op.set_defaults(func=_opsm)
     op.add_argument("pattern", help="pattern file")
     op.add_argument("text", help="string file")
     op.add_argument("--oracle", action="store_true", help="use subsequence enumeration")
@@ -516,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="gen_command", required=True, parser_class=_Parser)
 
     ga = gsub.add_parser("adversarial", help="worst-case tree family")
+    ga.set_defaults(func=_gen_adversarial)
     ga.add_argument("--height", type=int, required=True)
     ga.add_argument(
         "--pattern-length", type=int, default=None, help="defaults to height - 2"
@@ -524,18 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("--pattern-out", default=None, help="also write the pattern file")
 
     gs = gsub.add_parser("random-string", help="seeded random string")
+    gs.set_defaults(func=_gen_random_string)
     gs.add_argument("--length", type=int, required=True)
     gs.add_argument("--alphabet", type=int, required=True)
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("--out", dest="output")
 
     gt = gsub.add_parser("random-tree", help="seeded random tree")
+    gt.set_defaults(func=_gen_random_tree)
     gt.add_argument("--nodes", type=int, required=True)
     gt.add_argument("--alphabet", type=int, required=True)
     gt.add_argument("--seed", type=int, default=0)
     gt.add_argument("--out", dest="output")
 
     gd = gsub.add_parser("random-dag", help="seeded random DAG")
+    gd.set_defaults(func=_gen_random_dag)
     gd.add_argument("--vertices", type=int, required=True)
     gd.add_argument("--density", type=float, default=0.2)
     gd.add_argument("--alphabet", type=int, required=True)
@@ -546,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = b.add_subparsers(dest="bench_command", required=True, parser_class=_Parser)
 
     ba = bsub.add_parser("adversarial", help="pruned vs unpruned failure counts")
+    ba.set_defaults(func=_bench_adversarial)
     ba.add_argument("--heights", required=True, help="comma-separated tree heights")
     ba.add_argument(
         "--pattern-length", type=int, default=None, help="defaults to height - 2"
@@ -553,111 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--out", dest="output")
 
     bdg = bsub.add_parser("dasg", help="exponential path-search cost evidence")
+    bdg.set_defaults(func=_bench_dasg)
     bdg.add_argument("--sizes", required=True, help="comma-separated even text sizes")
     bdg.add_argument("--out", dest="output")
 
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cmd = ns.command
-    if cmd == "match-string":
-        return RunConfig(
-            subcommand=cmd,
-            inputs={"pattern": ns.pattern, "text": ns.text},
-            oracle=ns.oracle,
-            stats=ns.stats,
-            output=ns.output,
-        )
-    if cmd == "match-tree":
-        return RunConfig(
-            subcommand=cmd,
-            inputs={"pattern": ns.pattern, "tree": ns.tree},
-            prune=ns.prune,
-            oracle=ns.oracle,
-            stats=ns.stats,
-            output=ns.output,
-        )
-    if cmd == "match-dag":
-        return RunConfig(
-            subcommand=cmd,
-            inputs={"pattern": ns.pattern, "dag": ns.dag},
-            oracle=ns.oracle,
-            witness=ns.witness,
-            output=ns.output,
-        )
-    if cmd == "build-dasg":
-        return RunConfig(
-            subcommand=cmd, inputs={"text": ns.text}, output=ns.output
-        )
-    if cmd == "opsm":
-        return RunConfig(
-            subcommand=cmd,
-            inputs={"pattern": ns.pattern, "text": ns.text},
-            oracle=ns.oracle,
-            output=ns.output,
-        )
-    if cmd == "gen":
-        kind = ns.gen_command
-        if kind == "adversarial":
-            params = {
-                "height": ns.height,
-                "pattern_length": ns.pattern_length,
-                "tree_out": ns.tree_out,
-                "pattern_out": ns.pattern_out,
-            }
-            return RunConfig(subcommand=f"gen {kind}", params=params)
-        if kind == "random-string":
-            return RunConfig(
-                subcommand=f"gen {kind}",
-                seed=ns.seed,
-                output=ns.output,
-                params={"length": ns.length, "alphabet": ns.alphabet},
-            )
-        if kind == "random-tree":
-            return RunConfig(
-                subcommand=f"gen {kind}",
-                seed=ns.seed,
-                output=ns.output,
-                params={"nodes": ns.nodes, "alphabet": ns.alphabet},
-            )
-        if kind == "random-dag":
-            return RunConfig(
-                subcommand=f"gen {kind}",
-                seed=ns.seed,
-                output=ns.output,
-                params={
-                    "vertices": ns.vertices,
-                    "density": ns.density,
-                    "alphabet": ns.alphabet,
-                },
-            )
-    if cmd == "bench":
-        kind = ns.bench_command
-        if kind == "adversarial":
-            return RunConfig(
-                subcommand=f"bench {kind}",
-                output=ns.output,
-                params={
-                    "heights": ns.heights,
-                    "pattern_length": ns.pattern_length,
-                },
-            )
-        if kind == "dasg":
-            return RunConfig(
-                subcommand=f"bench {kind}",
-                output=ns.output,
-                params={"sizes": ns.sizes},
-            )
-    raise UsageError(f"unknown subcommand: {cmd}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        config = _config_from_args(ns)
-        return run(config)
+        return ns.func(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

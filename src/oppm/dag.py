@@ -16,7 +16,14 @@ from .pattern import PatternTables, build_pattern_tables
 
 
 class DagValidationError(ValueError):
-    """Raised when an edge list does not describe an acyclic graph."""
+    """Raised when an edge list does not describe an acyclic graph.
+
+    ``edge`` is the index, in the input list, of the offending edge.
+    """
+
+    def __init__(self, msg: str, edge: int):
+        super().__init__(msg)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -30,14 +37,17 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
     """Validate (source, label, target) triples and compute a topological order.
 
     Parallel edges are allowed.  Raises DagValidationError on out-of-range
-    vertex ids or on a cycle, naming an edge inside the cyclic part.
+    vertex ids or on a cycle, naming the first self-loop if there is one,
+    else an edge inside the cyclic part.
     """
     n = vertex_count
-    for u, _, v in edges:
+    for e in edges:
+        u, _, v = e
+        # edges.index(e) is this edge: an equal earlier one would have raised
         if not 0 <= u < n:
-            raise DagValidationError(f"unknown source vertex {u}")
+            raise DagValidationError(f"unknown source vertex {u}", edges.index(e))
         if not 0 <= v < n:
-            raise DagValidationError(f"unknown target vertex {v}")
+            raise DagValidationError(f"unknown target vertex {v}", edges.index(e))
 
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
@@ -53,9 +63,15 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
             if indeg[v] == 0:
                 ready.append(v)
     if len(order) != n:
+        # self-loops are looked for only here, off the path of a valid graph
+        i = next((i for i, (u, _, v) in enumerate(edges) if u == v), None)
+        if i is not None:
+            u = edges[i][0]
+            raise DagValidationError(f"cycle detected: self-loop at vertex {u}", i)
         left = set(range(n)) - set(order)
-        u, _, v = next(e for e in edges if e[0] in left and e[2] in left)
-        raise DagValidationError(f"cycle detected through edge {u} -> {v}")
+        i = next(i for i, (u, _, v) in enumerate(edges) if u in left and v in left)
+        u, _, v = edges[i]
+        raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
 
     return TextDag(
         vertex_count=n,

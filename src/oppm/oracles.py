@@ -11,7 +11,8 @@ from itertools import combinations
 
 from .tree import TextTree
 
-_OPSM_TEXT_LIMIT = 20
+# naive_opsm enumerates up to 2^n index subsets of a length-n text
+OPSM_TEXT_LIMIT = 20
 
 
 def naive_isomorphic(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -83,10 +84,10 @@ def naive_match_tree(p: Sequence[int], tree: TextTree) -> list[int]:
 
 def naive_opsm(p: Sequence[int], t: Sequence[int]) -> bool:
     """Enumerate all length-m index subsets of t in increasing order."""
-    if len(t) > _OPSM_TEXT_LIMIT:
+    if len(t) > OPSM_TEXT_LIMIT:
         raise ValueError(
             f"text of length {len(t)} exceeds the enumeration limit "
-            f"{_OPSM_TEXT_LIMIT}"
+            f"{OPSM_TEXT_LIMIT}"
         )
     m = len(p)
     if m > len(t):

@@ -9,7 +9,14 @@ from dataclasses import dataclass
 
 
 class TreeValidationError(ValueError):
-    """Raised when an edge list does not describe a rooted tree."""
+    """Raised when an edge list does not describe a rooted tree.
+
+    ``edge`` is the index, in the input list, of the offending edge.
+    """
+
+    def __init__(self, msg: str, edge: int):
+        super().__init__(msg)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -29,21 +36,22 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     The node count is one more than the number of edges; ids must cover
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
     offending node on duplicate children, out-of-range ids, or nodes not
-    reachable from the root (which covers both disconnection and cycles).
+    reachable from the root (which covers both disconnection and cycles);
+    for an unreachable node the offending edge is the one into it.
     """
     n = len(edges) + 1
     parent = [-1] * n
     label = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
-    for u, v, lab in edges:
+    for i, (u, v, lab) in enumerate(edges):
         if not 0 <= u < n:
-            raise TreeValidationError(f"unknown parent id {u}")
+            raise TreeValidationError(f"unknown parent id {u}", i)
         if not 0 <= v < n:
-            raise TreeValidationError(f"unknown child id {v}")
+            raise TreeValidationError(f"unknown child id {v}", i)
         if v == 0:
-            raise TreeValidationError("node 0 is the root and cannot be a child")
+            raise TreeValidationError("node 0 is the root and cannot be a child", i)
         if parent[v] != -1:
-            raise TreeValidationError(f"duplicate child {v}")
+            raise TreeValidationError(f"duplicate child {v}", i)
         parent[v] = u
         label[v] = lab
         children[u].append(v)
@@ -58,8 +66,9 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     if len(order) != n:
         reached = set(order)
         missing = min(v for v in range(n) if v not in reached)
+        edge = next(i for i, e in enumerate(edges) if e[1] == missing)
         raise TreeValidationError(
-            f"node {missing} is not reachable from the root"
+            f"node {missing} is not reachable from the root", edge
         )
 
     height = [0] * n
@@ -77,17 +86,3 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
         max_depth=max(depth),
     )
 
-
-def compute_subtree_heights(tree: TextTree) -> tuple[int, ...]:
-    """Recompute subtree heights with one traversal (children before parents)."""
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(tree.children[u])
-    height = [0] * tree.node_count
-    for u in reversed(order):  # reversed preorder: descendants come first
-        if tree.children[u]:
-            height[u] = 1 + max(height[c] for c in tree.children[u])
-    return tuple(height)

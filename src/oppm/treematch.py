@@ -16,7 +16,7 @@ set, only the failure-transition count.
 from dataclasses import dataclass, field
 
 from .pattern import PatternTables
-from .stringmatch import MatchStats, match_string
+from .stringmatch import MatchStats
 from .tree import TextTree
 
 
@@ -92,25 +92,3 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
         matched_nodes=matched, stats=MatchStats(goto_count=goto, fail_count=fail)
     )
 
-
-def match_tree_on_path_equals_string(tables: PatternTables, tree: TextTree) -> bool:
-    """Check the tree matcher against the string matcher on a chain tree.
-
-    The chain's edge labels, read from the root, form a string; a node at
-    depth d corresponds to end position d.  Returns whether both pruning
-    modes of the tree matcher report exactly the string matcher's
-    positions.
-    """
-    labels = []
-    u = 0
-    while tree.children[u]:
-        if len(tree.children[u]) > 1:
-            raise ValueError("tree is not a chain")
-        u = tree.children[u][0]
-        labels.append(tree.edge_label[u])
-    positions, _ = match_string(tables, labels)
-    for flag in (True, False):
-        report = match_tree(tables, tree, prune=flag)
-        if sorted(tree.depth[v] for v in report.matched_nodes) != positions:
-            return False
-    return True

@@ -11,11 +11,9 @@ from oppm.cli import (
     main,
     parse_dag_file,
     parse_pattern_file,
-    parse_string_file,
     parse_tree_file,
     pattern_file_text,
     tree_file_text,
-    write_dag_file,
 )
 from oppm.dag import build_dasg
 from oppm.gen import gen_random_tree
@@ -42,7 +40,7 @@ class TestPatternFileParsing:
         assert parse_pattern_file(files("p.txt", "")) == ()
 
     def test_signs(self, files):
-        assert parse_string_file(files("p.txt", "-3 0 7\n")) == (-3, 0, 7)
+        assert parse_pattern_file(files("p.txt", "-3 0 7\n")) == (-3, 0, 7)
 
     def test_int64_bounds_accepted(self, files):
         lo, hi = -(2**63), 2**63 - 1
@@ -88,6 +86,23 @@ class TestTreeFileParsing:
         with pytest.raises(ParseError, match=r":3: duplicate child 1"):
             parse_tree_file(path)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("tree 3\n0 1 5\n7 2 6\n", 3, "unknown parent id 7"),
+            ("tree 3\n0 1 5\n1 -2 6\n", 3, "unknown child id -2"),
+            ("tree 3\n0 1 5\n1 0 6\n", 3, "node 0 is the root and cannot be a child"),
+            ("tree 4\n0 1 5\n0 2 6\n1 2 7\n", 4, "duplicate child 2"),
+            ("tree 4\n0 1 5\n2 3 7\n3 2 7\n", 4, "node 2 is not reachable from the root"),
+        ],
+        ids=["unknown-parent", "unknown-child", "root-as-child", "duplicate-child", "cycle"],
+    )
+    def test_structural_error_names_edge_line(self, files, text, line, message):
+        path = files("t.txt", text)
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_edge_count_mismatch(self, files):
         with pytest.raises(ParseError, match="expected 2 edge lines, found 1"):
             parse_tree_file(files("t.txt", "tree 3\n0 1 5\n"))
@@ -104,11 +119,9 @@ class TestTreeFileParsing:
 
 
 class TestDagFileParsing:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, files):
         dag = build_dasg((5, 2, 1, 4, 3, 6))
-        path = str(tmp_path / "d.txt")
-        write_dag_file(path, dag)
-        again = parse_dag_file(path)
+        again = parse_dag_file(files("d.txt", dag_file_text(dag)))
         assert again == dag
         assert "dag 7 21" in dag_file_text(dag).splitlines()[0]
 
@@ -133,6 +146,22 @@ class TestDagFileParsing:
     def test_vertex_out_of_range(self, files):
         with pytest.raises(ParseError, match=r":2: unknown target vertex 7"):
             parse_dag_file(files("d.txt", "dag 2 1\n0 7 1\n"))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("dag 3 2\n0 1 1\n3 2 1\n", 3, "unknown source vertex 3"),
+            ("dag 3 2\n0 1 1\n1 -1 1\n", 3, "unknown target vertex -1"),
+            ("dag 3 3\n0 1 1\n1 2 1\n2 2 1\n", 4, "cycle detected: self-loop at vertex 2"),
+            ("dag 4 4\n0 1 1\n1 2 1\n2 3 1\n3 1 1\n", 3, "cycle detected through edge 1 -> 2"),
+        ],
+        ids=["unknown-source", "unknown-target", "self-loop", "cycle"],
+    )
+    def test_structural_error_names_edge_line(self, files, text, line, message):
+        path = files("d.txt", text)
+        with pytest.raises(ParseError) as err:
+            parse_dag_file(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
 
 
 class TestMatchCommands:
@@ -189,15 +218,13 @@ class TestMatchCommands:
         assert out[:2] == ["2", "4"]
         assert out[2].startswith("goto=") and " fail=" in out[2]
 
-    def test_match_dag_yes_with_witness(self, files, capsys, tmp_path):
-        dag_path = str(tmp_path / "d.txt")
-        write_dag_file(dag_path, build_dasg((5, 2, 1, 4, 3, 6)))
+    def test_match_dag_yes_with_witness(self, files, capsys):
+        dag_path = files("d.txt", dag_file_text(build_dasg((5, 2, 1, 4, 3, 6))))
         assert main(["match-dag", files("p.txt", "1 2 3\n"), dag_path, "--witness"]) == 0
         assert capsys.readouterr().out == "yes\n0 2 4 6\n"
 
-    def test_match_dag_no(self, files, capsys, tmp_path):
-        dag_path = str(tmp_path / "d.txt")
-        write_dag_file(dag_path, build_dasg((3, 2, 1)))
+    def test_match_dag_no(self, files, capsys):
+        dag_path = files("d.txt", dag_file_text(build_dasg((3, 2, 1))))
         assert main(["match-dag", files("p.txt", "1 2\n"), dag_path]) == 0
         assert capsys.readouterr().out == "no\n"
 
@@ -309,15 +336,18 @@ class TestExitCodes:
         args = [files("p.txt", "1\n"), files("t.txt", "1\n"), "--stats", "--oracle"]
         assert main(["match-string", *args]) == 1
 
-    def test_match_dag_oracle_is_usage_error(self, files, tmp_path, capsys):
-        dag_path = str(tmp_path / "d.txt")
-        write_dag_file(dag_path, build_dasg((1, 2)))
+    def test_match_dag_oracle_is_usage_error(self, files, capsys):
+        dag_path = files("d.txt", dag_file_text(build_dasg((1, 2))))
         assert main(["match-dag", files("p.txt", "1\n"), dag_path, "--oracle"]) == 1
 
     def test_opsm_oracle_size_guard(self, files, capsys):
         long_text = " ".join(str(v) for v in range(30)) + "\n"
         args = [files("p.txt", "1 2\n"), files("t.txt", long_text), "--oracle"]
         assert main(["opsm", *args]) == 1
+        assert (
+            capsys.readouterr().err
+            == "usage error: --oracle is limited to texts of length <= 20\n"
+        )
 
     def test_parse_error_exit_code_and_location(self, files, capsys):
         path = files("p.txt", "1 2 x\n")

@@ -5,9 +5,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oppm.gen import gen_random_tree
-from oppm.tree import TreeValidationError, build_tree, compute_subtree_heights
+from oppm.tree import TextTree, TreeValidationError, build_tree
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
+
+
+def compute_subtree_heights(tree: TextTree) -> tuple[int, ...]:
+    """Recompute subtree heights with one traversal (children before parents)."""
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(tree.children[u])
+    height = [0] * tree.node_count
+    for u in reversed(order):  # reversed preorder: descendants come first
+        if tree.children[u]:
+            height[u] = 1 + max(height[c] for c in tree.children[u])
+    return tuple(height)
 
 
 class TestBuildTree:

@@ -8,12 +8,35 @@ from hypothesis import strategies as st
 
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
 from oppm.oracles import naive_match_tree
-from oppm.pattern import build_pattern_tables
+from oppm.pattern import PatternTables, build_pattern_tables
 from oppm.stringmatch import match_string
-from oppm.tree import build_tree
-from oppm.treematch import match_tree, match_tree_on_path_equals_string
+from oppm.tree import TextTree, build_tree
+from oppm.treematch import match_tree
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
+
+
+def match_tree_on_path_equals_string(tables: PatternTables, tree: TextTree) -> bool:
+    """Check the tree matcher against the string matcher on a chain tree.
+
+    The chain's edge labels, read from the root, form a string; a node at
+    depth d corresponds to end position d.  Returns whether both pruning
+    modes of the tree matcher report exactly the string matcher's
+    positions.
+    """
+    labels = []
+    u = 0
+    while tree.children[u]:
+        if len(tree.children[u]) > 1:
+            raise ValueError("tree is not a chain")
+        u = tree.children[u][0]
+        labels.append(tree.edge_label[u])
+    positions, _ = match_string(tables, labels)
+    for flag in (True, False):
+        report = match_tree(tables, tree, prune=flag)
+        if sorted(tree.depth[v] for v in report.matched_nodes) != positions:
+            return False
+    return True
 
 
 @st.composite
