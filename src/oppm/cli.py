@@ -61,11 +61,23 @@ class ParseError(ValueError):
 
 def _content_rows(path: str) -> list[tuple[int, list[re.Match]]]:
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            toks = list(re.finditer(r"\S+", line))
-            if toks:
-                rows.append((lineno, toks))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                toks = list(re.finditer(r"\S+", line))
+                if toks:
+                    rows.append((lineno, toks))
+    except UnicodeDecodeError:
+        # the reader decodes ahead in chunks, so neither lineno nor the
+        # error's offset locates the bad byte: decode the whole file again
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(path, line, "not valid UTF-8") from None
+        raise
     return rows
 
 

@@ -10,7 +10,7 @@ unsound.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .pattern import PatternTables, build_pattern_tables
 
@@ -29,55 +29,71 @@ class DagValidationError(ValueError):
 @dataclass(frozen=True)
 class TextDag:
     vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # (source, label, target)
+    edges: tuple[tuple[int, int, int], ...]  # (source, label, target), as given
     topo_order: tuple[int, ...]
+    # Search tables derived by build_dag, left out of ==, hash and repr:
+    # out[u] is u's out-edges as (target, label), ascending; longest[u] is
+    # the edge count of the longest path leaving u.
+    out: list[list[tuple[int, int]]] = field(compare=False, repr=False)
+    longest: list[int] = field(compare=False, repr=False)
 
 
 def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextDag:
-    """Validate (source, label, target) triples and compute a topological order.
+    """Validate (source, label, target) triples and build the search tables.
 
-    Parallel edges are allowed.  Raises DagValidationError on out-of-range
-    vertex ids or on a cycle, naming the first self-loop if there is one,
-    else an edge inside the cyclic part.
+    The triples are kept as given; parallel edges are allowed.  Raises
+    DagValidationError on an out-of-range vertex id or on a cycle, naming
+    the first self-loop if there is one, else the first edge in input
+    order of one cycle.
     """
     n = vertex_count
+    indeg = [0] * n
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in edges:
-        u, _, v = e
+        u, c, v = e
         # edges.index(e) is this edge: an equal earlier one would have raised
         if not 0 <= u < n:
             raise DagValidationError(f"unknown source vertex {u}", edges.index(e))
         if not 0 <= v < n:
             raise DagValidationError(f"unknown target vertex {v}", edges.index(e))
-
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, _, v in edges:
         indeg[v] += 1
-        out[u].append(v)
-    ready = [u for u in range(n) if indeg[u] == 0]
-    order = []
-    for u in ready:
-        order.append(u)
-        for v in out[u]:
+        out[u].append((v, c))
+    order = [u for u in range(n) if indeg[u] == 0]
+    for u in order:
+        for v, _ in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                ready.append(v)
+                order.append(v)
     if len(order) != n:
-        # self-loops are looked for only here, off the path of a valid graph
+        # cycles are looked for only here, off the path of a valid graph
         i = next((i for i, (u, _, v) in enumerate(edges) if u == v), None)
         if i is not None:
             u = edges[i][0]
             raise DagValidationError(f"cycle detected: self-loop at vertex {u}", i)
+        # every vertex left out of the order has an in-edge from another one
+        # left out, so walking back along such edges must close a cycle
         left = set(range(n)) - set(order)
-        i = next(i for i, (u, _, v) in enumerate(edges) if u in left and v in left)
+        into: dict[int, int] = {}
+        for i, (u, _, v) in enumerate(edges):
+            if u in left and v in left:
+                into.setdefault(v, i)
+        walk: dict[int, int] = {}  # vertex -> its position in the walk
+        u = min(left)
+        while u not in walk:
+            walk[u] = len(walk)
+            u = edges[into[u]][0]
+        # u is met twice: the walk from its first visit on went round a cycle
+        i = min(into[w] for w in list(walk)[walk[u]:])
         u, _, v = edges[i]
         raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
 
-    return TextDag(
-        vertex_count=n,
-        edges=tuple((u, c, v) for u, c, v in edges),
-        topo_order=tuple(order),
-    )
+    longest = [0] * n
+    for u in reversed(order):
+        out[u].sort()
+        for v, _ in out[u]:
+            if longest[v] >= longest[u]:
+                longest[u] = longest[v] + 1
+    return TextDag(n, tuple(edges), tuple(order), out, longest)
 
 
 def build_dasg(t: Sequence[int]) -> TextDag:
@@ -122,29 +138,16 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
     """
     m = len(tables.values)
     lmax, lmin = tables.lmax, tables.lmin
-    n = dag.vertex_count
-
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, c, v in dag.edges:
-        adj[u].append((v, c))
-    for lst in adj:
-        lst.sort()
-
-    # longest path leaving each vertex, for admissible depth pruning
-    longest = [0] * n
-    for u in reversed(dag.topo_order):
-        for v, _ in adj[u]:
-            if longest[v] + 1 > longest[u]:
-                longest[u] = longest[v] + 1
+    out, longest = dag.out, dag.longest
 
     labels = [0] * m
     verts = [0] * (m + 1)
     explored = 0
-    for s in range(n):
+    for s in range(dag.vertex_count):
         if longest[s] < m:
             continue
         verts[0] = s
-        stack = [iter(adj[s])]
+        stack = [iter(out[s])]
         while stack:
             i = len(stack) - 1  # labels[0..i-1] matched so far
             descended = False
@@ -162,7 +165,7 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
                 verts[i + 1] = v
                 if i + 1 == m:
                     return list(verts), explored
-                stack.append(iter(adj[v]))
+                stack.append(iter(out[v]))
                 descended = True
                 break
             if not descended:

@@ -154,8 +154,10 @@ class TestDagFileParsing:
             ("dag 3 2\n0 1 1\n1 -1 1\n", 3, "unknown target vertex -1"),
             ("dag 3 3\n0 1 1\n1 2 1\n2 2 1\n", 4, "cycle detected: self-loop at vertex 2"),
             ("dag 4 4\n0 1 1\n1 2 1\n2 3 1\n3 1 1\n", 3, "cycle detected through edge 1 -> 2"),
+            # 1 -> 2 leaves the cycle 0 <-> 1 and must not be named
+            ("dag 3 3\n1 2 1\n1 0 1\n0 1 1\n", 3, "cycle detected through edge 1 -> 0"),
         ],
-        ids=["unknown-source", "unknown-target", "self-loop", "cycle"],
+        ids=["unknown-source", "unknown-target", "self-loop", "cycle", "edge-out-of-cycle"],
     )
     def test_structural_error_names_edge_line(self, files, text, line, message):
         path = files("d.txt", text)
@@ -358,6 +360,17 @@ class TestExitCodes:
     def test_validation_error_exit_code(self, files, capsys):
         tree = files("t.txt", "tree 3\n0 1 5\n0 1 6\n")
         assert main(["match-tree", files("p.txt", "1\n"), tree]) == 2
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"1 2\n3 \xff\n", 2), (b"1\n" * 20000 + b"2 \xc3\n", 20001)],
+        ids=["second-line", "past-first-read-chunk"],
+    )
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert main(["match-string", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: not valid UTF-8\n"
 
     def test_missing_file_exit_code(self, files, capsys):
         assert main(["match-string", "no-such-file.txt", files("t.txt", "1\n")]) == 2

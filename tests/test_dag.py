@@ -18,6 +18,7 @@ from oppm.dag import (
 from oppm.gen import gen_random_dag
 from oppm.oracles import is_subsequence, naive_isomorphic, naive_opsm
 from oppm.pattern import build_pattern_tables
+from oppm.stringmatch import match_string
 
 FIG_TEXT = (5, 2, 1, 4, 3, 6)
 
@@ -57,6 +58,31 @@ class TestBuildDag:
         pos = {u: i for i, u in enumerate(dag.topo_order)}
         assert sorted(pos) == [0, 1, 2, 3]
         assert all(pos[u] < pos[v] for u, _, v in dag.edges)
+
+
+def brute_longest(edges, u):
+    return max((1 + brute_longest(edges, v) for w, _, v in edges if w == u), default=0)
+
+
+class TestSearchTables:
+    def test_tables_agree_with_edges(self):
+        rng = random.Random(37)
+        dags = [gen_random_dag(rng.randint(1, 8), 0.5, 3, rng.randrange(2**30)) for _ in range(100)]
+        dags += [build_dasg([rng.randint(1, 3) for _ in range(rng.randint(0, 9))]) for _ in range(50)]
+        for dag in dags:
+            for u in range(dag.vertex_count):
+                assert dag.out[u] == sorted((v, c) for w, c, v in dag.edges if w == u)
+                assert dag.longest[u] == brute_longest(dag.edges, u)
+
+    def test_tables_left_out_of_equality_hash_and_repr(self):
+        edges = [(0, 2, 1), (0, 1, 1), (1, 5, 2)]
+        a, b = build_dag(3, edges), build_dag(3, list(edges))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "TextDag(vertex_count=3, edges=((0, 2, 1), (0, 1, 1), (1, 5, 2)), "
+            "topo_order=(0, 1, 2))"
+        )
+        assert hash(build_dasg(FIG_TEXT)) == hash(build_dasg(list(FIG_TEXT)))
 
 
 class TestBuildDasg:
@@ -156,6 +182,23 @@ class TestMatchDag:
             expected = any(naive_isomorphic(p, labels) for labels in found)
             witness = match_dag(build_pattern_tables(p), dag)
             assert (witness is not None) == expected
+
+    def test_path_dag_agrees_with_string_matching(self):
+        # the path graph of t spells only t's windows, and the search tries
+        # starts in ascending order, so it finds the leftmost occurrence
+        rng = random.Random(41)
+        for _ in range(1000):
+            sigma = rng.choice((2, 4, 50))
+            t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 14))]
+            m = rng.randint(1, 5)
+            tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
+            ends, _ = match_string(tables, t)
+            dag = build_dag(len(t) + 1, [(i, c, i + 1) for i, c in enumerate(t)])
+            witness = match_dag(tables, dag)
+            if not ends:
+                assert witness is None
+            else:
+                assert witness == list(range(ends[0] - m, ends[0] + 1))
 
     def test_explored_count_grows_with_organ_pipe_size(self):
         counts = []
