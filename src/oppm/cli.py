@@ -4,6 +4,8 @@ Formats:
   pattern / string  one line of whitespace-separated signed 64-bit integers
   tree              header "tree N", then N-1 lines "parent child label"
   dag               header "dag V E", then E lines "source target label"
+Only \\n, \\r\\n and a lone \\r end a line; any other whitespace separates
+tokens, and a token is an integer when int() accepts it.
 
 Exit codes: 0 success (including "no match"), 1 usage error, 2 parse or
 validation error.
@@ -13,6 +15,7 @@ import argparse
 import re
 import sys
 import time
+from itertools import islice
 
 from .dag import (
     DagValidationError,
@@ -57,125 +60,156 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # file parsing
+#
+# A file is read and decoded once, and its content lines (the lines with a
+# token) are split into tokens; the parsers check those in bulk.  Line and
+# column are worked out only for an error, by walking the text again.
 
 
-def _content_rows(path: str) -> list[tuple[int, list[re.Match]]]:
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                toks = list(re.finditer(r"\S+", line))
-                if toks:
-                    rows.append((lineno, toks))
-    except UnicodeDecodeError:
-        # the reader decodes ahead in chunks, so neither lineno nor the
-        # error's offset locates the bad byte: decode the whole file again
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as text-mode file iteration reads them: only
+    \\n, \\r\\n and a lone \\r end a line (str.splitlines also breaks at
+    \\x0b, \\x85, \\u2028 and others, which here only separate tokens)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+class _Input:
+    """One input file: its text, its tokens in file order, and the token
+    count of each content line (a line with at least one token)."""
+
+    def __init__(self, path: str):
         with open(path, "rb") as f:
             data = f.read()
         try:
-            data.decode("utf-8")
+            self.text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # the line ends before the bad byte, counted as the reader counts
+            # them: \n, \r\n and a lone \r
+            end = exc.start
+            ends = data.count(b"\n", 0, end) + data.count(b"\r", 0, end)
+            line = 1 + ends - data.count(b"\r\n", 0, end)
             raise ParseError(path, line, "not valid UTF-8") from None
-        raise
-    return rows
+        self.path = path
+        # Flat, so that no list per line lives on for the garbage collector
+        # to scan again and again while the parse allocates.  The first
+        # content line's list is kept, not copied: copying touches every
+        # token, and a string file is one line of them.
+        self.tokens: list[str] = []
+        self.counts: list[int] = []
+        for line in _lines(self.text):
+            row = line.split()
+            if row:
+                if self.tokens:
+                    self.tokens += row
+                else:
+                    self.tokens = row
+                self.counts.append(len(row))
 
+    def error(self, msg: str, row: int, tok: int | None = None) -> ParseError:
+        """The error for content line ``row``, at its token ``tok`` if given."""
+        content = [
+            (lineno, line)
+            for lineno, line in enumerate(_lines(self.text), start=1)
+            if line.strip()
+        ]
+        lineno, line = content[row]
+        col = None if tok is None else list(re.finditer(r"\S+", line))[tok].start() + 1
+        return ParseError(self.path, lineno, msg, col)
 
-def _int_token(path: str, lineno: int, tok: re.Match) -> int:
-    text = tok.group()
-    col = tok.start() + 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(path, lineno, f"not an integer: {text!r}", col) from None
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ParseError(
-            path, lineno, f"integer out of 64-bit signed range: {text}", col
-        )
-    return value
+    def integer(self, text: str, row: int, tok: int) -> int:
+        """``text``, token ``tok`` of content line ``row``, as a signed
+        64-bit integer."""
+        try:
+            value = int(text)
+        except ValueError:
+            raise self.error(f"not an integer: {text!r}", row, tok) from None
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise self.error(f"integer out of 64-bit signed range: {text}", row, tok)
+        return value
+
+    def values(
+        self, start: int, arity: int | None = None, what: str = ""
+    ) -> tuple[int, ...]:
+        """The integers of content lines ``start`` on, in file order; with
+        ``arity``, every line must hold that many ("expected '{what}'" if not).
+
+        All lines are checked at once; only if that fails are they walked
+        one token at a time, to report the first fault in file order."""
+        first = sum(self.counts[:start])
+        counts = self.counts[start:]
+        if arity is None or set(counts) <= {arity}:
+            try:
+                values = tuple(map(int, islice(self.tokens, first, None)))
+            except ValueError:
+                pass
+            else:
+                if not values or INT64_MIN <= min(values) and max(values) <= INT64_MAX:
+                    return values
+        values = []
+        index = first
+        for row, count in enumerate(counts, start):
+            if arity is not None and count != arity:
+                raise self.error(f"expected '{what}'", row, 0)
+            for tok in range(count):
+                values.append(self.integer(self.tokens[index], row, tok))
+                index += 1
+        return tuple(values)
 
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
-    rows = _content_rows(path)
-    if not rows:
-        return ()
-    if len(rows) > 1:
-        lineno, toks = rows[1]
-        raise ParseError(
-            path, lineno, "expected a single line of integers", toks[0].start() + 1
-        )
-    lineno, toks = rows[0]
-    return tuple(_int_token(path, lineno, tok) for tok in toks)
+    f = _Input(path)
+    if len(f.counts) > 1:
+        raise f.error("expected a single line of integers", 1, 0)
+    return f.values(0)
 
 
 def parse_tree_file(path: str) -> TextTree:
     """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
-    rows = _content_rows(path)
-    if not rows:
+    f = _Input(path)
+    if not f.counts:
         raise ParseError(path, 1, "missing 'tree N' header")
-    header_line, toks = rows[0]
-    if toks[0].group() != "tree" or len(toks) != 2:
-        raise ParseError(
-            path, header_line, "expected header 'tree N'", toks[0].start() + 1
-        )
-    n = _int_token(path, header_line, toks[1])
+    if f.tokens[0] != "tree" or f.counts[0] != 2:
+        raise f.error("expected header 'tree N'", 0, 0)
+    n = f.integer(f.tokens[1], 0, 1)
     if n < 1:
-        raise ParseError(path, header_line, "node count must be at least 1")
-    if len(rows) - 1 != n - 1:
-        raise ParseError(
-            path,
-            header_line,
-            f"expected {n - 1} edge lines, found {len(rows) - 1}",
-        )
-    edges = []
-    for lineno, toks in rows[1:]:
-        if len(toks) != 3:
-            raise ParseError(
-                path, lineno, "expected 'parent child label'", toks[0].start() + 1
-            )
-        u, v, lab = (_int_token(path, lineno, tok) for tok in toks)
-        edges.append((u, v, lab))
+        raise f.error("node count must be at least 1", 0)
+    lines = len(f.counts) - 1
+    if lines != n - 1:
+        raise f.error(f"expected {n - 1} edge lines, found {lines}", 0)
+    values = f.values(1, 3, "parent child label")
+    edges = list(zip(values[0::3], values[1::3], values[2::3]))
     try:
         return build_tree(edges)
     except TreeValidationError as exc:
-        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
+        raise f.error(str(exc), 1 + exc.edge) from exc
 
 
 def parse_dag_file(path: str) -> TextDag:
     """Header 'dag V E' and E edge lines; build_dag checks the structure."""
-    rows = _content_rows(path)
-    if not rows:
+    f = _Input(path)
+    if not f.counts:
         raise ParseError(path, 1, "missing 'dag V E' header")
-    header_line, toks = rows[0]
-    if toks[0].group() != "dag" or len(toks) != 3:
-        raise ParseError(
-            path, header_line, "expected header 'dag V E'", toks[0].start() + 1
-        )
-    v_count = _int_token(path, header_line, toks[1])
-    e_count = _int_token(path, header_line, toks[2])
+    if f.tokens[0] != "dag" or f.counts[0] != 3:
+        raise f.error("expected header 'dag V E'", 0, 0)
+    v_count = f.integer(f.tokens[1], 0, 1)
+    e_count = f.integer(f.tokens[2], 0, 2)
     if v_count < 1:
-        raise ParseError(path, header_line, "vertex count must be at least 1")
+        raise f.error("vertex count must be at least 1", 0)
     if e_count < 0:
-        raise ParseError(path, header_line, "edge count cannot be negative")
-    if len(rows) - 1 != e_count:
-        raise ParseError(
-            path,
-            header_line,
-            f"expected {e_count} edge lines, found {len(rows) - 1}",
-        )
-    edges = []
-    for lineno, toks in rows[1:]:
-        if len(toks) != 3:
-            raise ParseError(
-                path, lineno, "expected 'source target label'", toks[0].start() + 1
-            )
-        u, v, lab = (_int_token(path, lineno, tok) for tok in toks)
-        edges.append((u, lab, v))
+        raise f.error("edge count cannot be negative", 0)
+    lines = len(f.counts) - 1
+    if lines != e_count:
+        raise f.error(f"expected {e_count} edge lines, found {lines}", 0)
+    values = f.values(1, 3, "source target label")
+    # file lines are 'source target label', DAG edges (source, label, target)
+    edges = list(zip(values[0::3], values[2::3], values[1::3]))
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
-        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
+        raise f.error(str(exc), 1 + exc.edge) from exc
 
 
 # ---------------------------------------------------------------------------

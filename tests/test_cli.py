@@ -1,5 +1,7 @@
 """CLI subcommands, file formats, and exit codes."""
 
+import random
+import re
 import subprocess
 import sys
 
@@ -15,8 +17,9 @@ from oppm.cli import (
     pattern_file_text,
     tree_file_text,
 )
-from oppm.dag import build_dasg
+from oppm.dag import DagValidationError, build_dag, build_dasg
 from oppm.gen import gen_random_tree
+from oppm.tree import TreeValidationError, build_tree
 
 WORKED_PATTERN = "22 41 35 37\n"
 WORKED_TEXT = "63 18 48 29 42 56 25 51\n"
@@ -26,7 +29,7 @@ WORKED_TEXT = "63 18 48 29 42 56 25 51\n"
 def files(tmp_path):
     def write(name, content):
         path = tmp_path / name
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         return str(path)
 
     return write
@@ -164,6 +167,342 @@ class TestDagFileParsing:
         with pytest.raises(ParseError) as err:
             parse_dag_file(path)
         assert str(err.value) == f"{path}:{line}: {message}"
+
+
+class TestLineAndTokenRules:
+    def test_only_cr_and_lf_end_a_line(self, files):
+        # str.splitlines() would break at each of these; the reader does not
+        text = "1\x0b2\x0c3\x1c4\x1d5\x1e6\x1f7\x858\u20289\u202910\n"
+        assert parse_pattern_file(files("p.txt", text)) == tuple(range(1, 11))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, files, end):
+        path = files("t.txt", end.join(["tree 3", "0 1 5", "", "1 2 x", ""]))
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:4:5: not an integer: 'x'"
+
+    def test_right_token_count_on_wrong_lines(self, files):
+        path = files("t.txt", "tree 3\n0 1 5 2\n3 7\n")
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:2:1: expected 'parent child label'"
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("+5", 5), ("-0", 0), ("007", 7), ("1_000", 1000), ("\u0663", 3)],
+    )
+    def test_integers_follow_python_int(self, files, token, value):
+        assert parse_pattern_file(files("p.txt", f"1 {token}\n")) == (1, value)
+
+    def test_leading_byte_order_mark_is_not_an_integer(self, files):
+        path = files("p.txt", "\ufeff1 2\n")
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(path)
+        assert str(err.value) == f"{path}:1:1: not an integer: '\\ufeff1'"
+
+
+class TestInt64RangeEdges:
+    """The bulk check and the located walk must agree on the last token of
+    a long line and on values one past either end of the range."""
+
+    N = 10**5
+    LO, HI = -(2**63), 2**63 - 1
+
+    def test_range_ends_accepted_on_long_line(self, files):
+        values = (self.LO, self.HI) * (self.N // 2)
+        path = files("p.txt", " ".join(map(str, values)) + "\n")
+        assert parse_pattern_file(path) == values
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (str(2**63), f"integer out of 64-bit signed range: {2**63}"),
+            (str(-(2**63) - 1), f"integer out of 64-bit signed range: {-(2**63) - 1}"),
+            ("1x", "not an integer: '1x'"),
+        ],
+        ids=["above", "below", "not-an-integer"],
+    )
+    def test_only_bad_token_ends_a_long_line(self, files, last, message):
+        good = f"{self.HI} "
+        path = files("p.txt", good * (self.N - 1) + last + "\n")
+        col = len(good) * (self.N - 1) + 1
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(path)
+        assert str(err.value) == f"{path}:1:{col}: {message}"
+
+    def test_first_bad_token_wins_over_a_later_one(self, files):
+        # int() fails only on the later token; the range fault comes first
+        path = files("p.txt", "1 " * self.N + f"{2**63} x\n")
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(path)
+        col = 2 * self.N + 1
+        assert str(err.value) == f"{path}:1:{col}: integer out of 64-bit signed range: {2**63}"
+
+    @pytest.mark.parametrize("bad", [2**63, -(2**63) - 1], ids=["above", "below"])
+    def test_value_outside_range_after_good_edge_lines(self, files, bad):
+        lines = self.N // 3
+        edges = [f"{v - 1} {v} {self.LO if v % 2 else self.HI}" for v in range(1, lines)]
+        edges.append(f"{lines - 1} {lines} {bad}")
+        path = files("t.txt", "\n".join([f"tree {lines + 1}", *edges]) + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        col = len(f"{lines - 1} {lines} ") + 1
+        expected = f"{path}:{lines + 1}:{col}: integer out of 64-bit signed range: {bad}"
+        assert str(err.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the file parsers against a token-by-token reference:
+# the reader the CLI used before it parsed in bulk.  Each content line is
+# matched with re's \S+ and every token converted on its own, so the first
+# fault in file order is the one raised.
+
+
+def _ref_content_rows(path):
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            toks = list(re.finditer(r"\S+", line))
+            if toks:
+                rows.append((lineno, toks))
+    return rows
+
+
+def _ref_int_token(path, lineno, tok):
+    text = tok.group()
+    col = tok.start() + 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(path, lineno, f"not an integer: {text!r}", col) from None
+    if not -(2**63) <= value <= 2**63 - 1:
+        raise ParseError(path, lineno, f"integer out of 64-bit signed range: {text}", col)
+    return value
+
+
+def _ref_parse_pattern(path):
+    rows = _ref_content_rows(path)
+    if not rows:
+        return ()
+    if len(rows) > 1:
+        lineno, toks = rows[1]
+        raise ParseError(path, lineno, "expected a single line of integers", toks[0].start() + 1)
+    lineno, toks = rows[0]
+    return tuple(_ref_int_token(path, lineno, tok) for tok in toks)
+
+
+def _ref_parse_tree(path):
+    rows = _ref_content_rows(path)
+    if not rows:
+        raise ParseError(path, 1, "missing 'tree N' header")
+    header_line, toks = rows[0]
+    if toks[0].group() != "tree" or len(toks) != 2:
+        raise ParseError(path, header_line, "expected header 'tree N'", toks[0].start() + 1)
+    n = _ref_int_token(path, header_line, toks[1])
+    if n < 1:
+        raise ParseError(path, header_line, "node count must be at least 1")
+    if len(rows) - 1 != n - 1:
+        raise ParseError(
+            path, header_line, f"expected {n - 1} edge lines, found {len(rows) - 1}"
+        )
+    edges = []
+    for lineno, toks in rows[1:]:
+        if len(toks) != 3:
+            raise ParseError(path, lineno, "expected 'parent child label'", toks[0].start() + 1)
+        edges.append(tuple(_ref_int_token(path, lineno, tok) for tok in toks))
+    try:
+        return build_tree(edges)
+    except TreeValidationError as exc:
+        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
+
+
+def _ref_parse_dag(path):
+    rows = _ref_content_rows(path)
+    if not rows:
+        raise ParseError(path, 1, "missing 'dag V E' header")
+    header_line, toks = rows[0]
+    if toks[0].group() != "dag" or len(toks) != 3:
+        raise ParseError(path, header_line, "expected header 'dag V E'", toks[0].start() + 1)
+    v_count = _ref_int_token(path, header_line, toks[1])
+    e_count = _ref_int_token(path, header_line, toks[2])
+    if v_count < 1:
+        raise ParseError(path, header_line, "vertex count must be at least 1")
+    if e_count < 0:
+        raise ParseError(path, header_line, "edge count cannot be negative")
+    if len(rows) - 1 != e_count:
+        raise ParseError(
+            path, header_line, f"expected {e_count} edge lines, found {len(rows) - 1}"
+        )
+    edges = []
+    for lineno, toks in rows[1:]:
+        if len(toks) != 3:
+            raise ParseError(path, lineno, "expected 'source target label'", toks[0].start() + 1)
+        u, v, lab = (_ref_int_token(path, lineno, tok) for tok in toks)
+        edges.append((u, lab, v))
+    try:
+        return build_dag(v_count, edges)
+    except DagValidationError as exc:
+        raise ParseError(path, rows[1 + exc.edge][0], str(exc)) from exc
+
+
+# characters that separate tokens (never \r or \n, which end a line)
+_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+# other spellings int() reads as the same value
+_SPELLINGS = {
+    "0": ["-0", "+0", "00"],
+    "3": ["\u0663", "+3", "003"],
+    "5": ["+5", "005"],
+    "7": ["007"],
+}
+_BAD_TOKENS = [
+    "x", "1.5", "\ufeff1", "1__0", "_1", "--1", "0x10", "1e3",
+    str(2**63), str(-(2**63) - 1), str(2**64),
+]
+_GOOD_TOKENS = ["1_000", str(2**63 - 1), str(-(2**63)), "+5", "-0", "\u0663", "007"]
+
+
+def _base_pattern(rng):
+    return [[str(rng.randrange(-3, 10)) for _ in range(rng.randrange(0, 7))]]
+
+
+def _base_tree(rng):
+    n = rng.randrange(1, 7)
+    edges = [[str(rng.randrange(v)), str(v), str(rng.randrange(-2, 9))] for v in range(1, n)]
+    rng.shuffle(edges)
+    return [["tree", str(n)], *edges]
+
+
+def _base_dag(rng):
+    v_count = rng.randrange(1, 6)
+    perm = list(range(v_count))
+    rng.shuffle(perm)
+    edges = []
+    for _ in range(rng.randrange(0, 7) if v_count > 1 else 0):
+        a, b = sorted(rng.sample(range(v_count), 2))
+        edges.append([str(perm[a]), str(perm[b]), str(rng.randrange(-2, 9))])
+    return [["dag", str(v_count), str(len(edges))], *edges]
+
+
+def _mutate(rng, lines, kind):
+    """Inject one fault (or a harmless change) into the token lines."""
+    if not lines:
+        return
+    content = [i for i, line in enumerate(lines) if line]
+    # weighted towards the structural faults, which random edits rarely make
+    op = rng.choices(range(11), weights=[2, 1, 1, 1, 1, 1, 1, 1, 4, 3, 1])[0]
+    if op == 0 and content:  # a bad token
+        line = lines[rng.choice(content)]
+        line[rng.randrange(len(line))] = rng.choice(_BAD_TOKENS)
+    elif op == 1 and content:  # a token too few
+        line = lines[rng.choice(content)]
+        del line[rng.randrange(len(line))]
+    elif op == 2:  # a token too many
+        line = lines[rng.choice(content)] if content else lines[0]
+        line.insert(rng.randrange(len(line) + 1), rng.choice(_GOOD_TOKENS + ["1", "x"]))
+    elif op == 3 and content:  # one line split in two
+        i = rng.choice(content)
+        cut = rng.randrange(len(lines[i]) + 1)
+        lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+    elif op == 4 and len(lines) > 1:  # two lines joined
+        i = rng.randrange(len(lines) - 1)
+        lines[i : i + 2] = [lines[i] + lines[i + 1]]
+    elif op == 5 and content:  # a line dropped or repeated
+        i = rng.choice(content)
+        if rng.random() < 0.5:
+            del lines[i]
+        else:
+            lines.insert(i, list(lines[i]))
+    elif op == 6 and kind != "pattern" and lines and lines[0]:  # header keyword
+        lines[0][0] = rng.choice(["Tree", "tree", "dag", "DAG", "tre", "1"])
+    elif op == 7 and kind != "pattern" and len(lines[0]) > 1:  # header count
+        j = rng.randrange(1, len(lines[0]))
+        lines[0][j] = rng.choice(["0", "-1", "1", "2", "5", str(2**63), "+3", "y"])
+    elif op == 8 and kind != "pattern" and len(lines) > 1:  # an end moved
+        line = lines[rng.randrange(1, len(lines))]
+        if len(line) >= 2:
+            line[rng.randrange(2)] = str(rng.randrange(-1, 7))
+    elif op == 9 and kind != "pattern" and len(lines) > 1:  # an edge reversed
+        line = lines[rng.randrange(1, len(lines))]
+        line[:2] = line[1::-1]
+    elif op == 10 and len(lines) > 2:  # edges reordered
+        body = lines[1:]
+        rng.shuffle(body)
+        lines[1:] = body
+
+
+def _render(rng, lines):
+    """Tokens to text: random separators, blank lines and line ends, and
+    now and then another spelling of a value or no final line end."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", " ", "\t", "\x0c ", "\u3000"]))
+        toks = []
+        for tok in line:
+            alts = _SPELLINGS.get(tok)
+            toks.append(rng.choice(alts) if alts and rng.random() < 0.3 else tok)
+        text = "".join(t + rng.choice(_SEPARATORS) for t in toks)
+        out.append(rng.choice(["", "", " ", "\xa0"]) + text.rstrip(" "))
+    text = "".join(line + rng.choice(_LINE_ENDS) for line in out)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return text
+
+
+_PARSERS = {
+    "pattern": (_base_pattern, parse_pattern_file, _ref_parse_pattern),
+    "tree": (_base_tree, parse_tree_file, _ref_parse_tree),
+    "dag": (_base_dag, parse_dag_file, _ref_parse_dag),
+}
+# every fault message each format must have produced over the cases
+_FAULTS = {
+    "pattern": ["expected a single line", "not an integer", "out of 64-bit"],
+    "tree": [
+        "missing 'tree N' header", "expected header", "not an integer", "out of 64-bit",
+        "node count must be", "edge lines, found", "expected 'parent child label'",
+        "unknown parent", "unknown child", "root and cannot", "duplicate child",
+        "not reachable",
+    ],
+    "dag": [
+        "missing 'dag V E' header", "expected header", "not an integer", "out of 64-bit",
+        "vertex count must be", "edge count cannot", "edge lines, found",
+        "expected 'source target label'", "unknown source", "unknown target",
+        "self-loop", "cycle detected through",
+    ],
+}
+
+
+def _outcome(parse, path):
+    try:
+        return "value", parse(path)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+def test_bulk_parser_agrees_with_token_reference(tmp_path, kind):
+    base, parse, reference = _PARSERS[kind]
+    path = str(tmp_path / f"{kind}.txt")
+    messages = []
+    for seed in range(800):
+        rng = random.Random(f"{kind}-{seed}")
+        lines = base(rng)
+        for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+            _mutate(rng, lines, kind)
+        if rng.random() < 0.03:
+            lines = []
+        data = _render(rng, lines).encode("utf-8")
+        with open(path, "wb") as f:
+            f.write(data)
+        got, want = _outcome(parse, path), _outcome(reference, path)
+        assert got == want, f"seed {seed}: {data!r}"
+        if want[0] == "error":
+            messages.append(want[1])
+    for fault in _FAULTS[kind]:
+        assert any(fault in m for m in messages), fault
+    assert 100 < len(messages) < 700
 
 
 class TestMatchCommands:
@@ -363,8 +702,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "data, line",
-        [(b"1 2\n3 \xff\n", 2), (b"1\n" * 20000 + b"2 \xc3\n", 20001)],
-        ids=["second-line", "past-first-read-chunk"],
+        [
+            (b"1 2\n3 \xff\n", 2),
+            (b"1\n" * 20000 + b"2 \xc3\n", 20001),
+            (b"1 2\r3 \xff\r", 2),
+            (b"1\r\n2\r\r\n3 4 \xff", 4),
+        ],
+        ids=["second-line", "past-first-read-chunk", "cr-line-ends", "mixed-line-ends"],
     )
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, data, line):
         path = tmp_path / "t.txt"
