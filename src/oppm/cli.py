@@ -5,7 +5,8 @@ Formats:
   tree              header "tree N", then N-1 lines "parent child label"
   dag               header "dag V E", then E lines "source target label"
 Only \\n, \\r\\n and a lone \\r end a line; any other whitespace separates
-tokens, and a token is an integer when int() accepts it.
+tokens, and a token is an integer when int() accepts it, however many
+digits it has.
 
 Exit codes: 0 success (including "no match"), 1 usage error, 2 parse or
 validation error.
@@ -75,6 +76,27 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+# what int() accepts as a base-10 token: Unicode decimal digits, single
+# underscores between them, one optional sign
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _long_int(text: str) -> int | None:
+    """The value of an integer literal that int() refused only because it
+    has more digits than sys.get_int_max_str_digits() allows (leading zeros
+    count too), or None if it has more than 19 significant digits and so
+    lies outside the 64-bit range anyway.  The process-wide limit is left
+    as it is."""
+    digits = text.lstrip("+-").replace("_", "")
+    # every decimal digit's script has its own zero, 0 to 9 being contiguous
+    zeros = "".join({chr(ord(d) - int(d)) for d in set(digits)})
+    significant = digits.lstrip(zeros)
+    if len(significant) > 19:
+        return None
+    value = int(significant or "0")
+    return -value if text[0] == "-" else value
+
+
 class _Input:
     """One input file: its text, its tokens in file order, and the token
     count of each content line (a line with at least one token)."""
@@ -124,8 +146,10 @@ class _Input:
         try:
             value = int(text)
         except ValueError:
-            raise self.error(f"not an integer: {text!r}", row, tok) from None
-        if not INT64_MIN <= value <= INT64_MAX:
+            if not _INT_LITERAL.fullmatch(text):
+                raise self.error(f"not an integer: {text!r}", row, tok) from None
+            value = _long_int(text)
+        if value is None or not INT64_MIN <= value <= INT64_MAX:
             raise self.error(f"integer out of 64-bit signed range: {text}", row, tok)
         return value
 

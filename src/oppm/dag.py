@@ -11,6 +11,8 @@ unsound.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 from .pattern import PatternTables, build_pattern_tables
 
@@ -32,9 +34,10 @@ class TextDag:
     edges: tuple[tuple[int, int, int], ...]  # (source, label, target), as given
     topo_order: tuple[int, ...]
     # Search tables derived by build_dag, left out of ==, hash and repr:
-    # out[u] is u's out-edges as (target, label), ascending; longest[u] is
-    # the edge count of the longest path leaving u.
-    out: list[list[tuple[int, int]]] = field(compare=False, repr=False)
+    # out[u] is u's out-edges, the very tuples of ``edges``, sorted by
+    # (target, label); longest[u] is the edge count of the longest path
+    # leaving u.
+    out: list[list[tuple[int, int, int]]] = field(compare=False, repr=False)
     longest: list[int] = field(compare=False, repr=False)
 
 
@@ -48,19 +51,19 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
     """
     n = vertex_count
     indeg = [0] * n
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for e in edges:
-        u, c, v = e
+        u, _, v = e
         # edges.index(e) is this edge: an equal earlier one would have raised
         if not 0 <= u < n:
             raise DagValidationError(f"unknown source vertex {u}", edges.index(e))
         if not 0 <= v < n:
             raise DagValidationError(f"unknown target vertex {v}", edges.index(e))
         indeg[v] += 1
-        out[u].append((v, c))
+        out[u].append(e)
     order = [u for u in range(n) if indeg[u] == 0]
     for u in order:
-        for v, _ in out[u]:
+        for _, _, v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -88,9 +91,10 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
         raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
 
     longest = [0] * n
+    by_target = itemgetter(2, 1)
     for u in reversed(order):
-        out[u].sort()
-        for v, _ in out[u]:
+        out[u].sort(key=by_target)
+        for _, _, v in out[u]:
             if longest[v] >= longest[u]:
                 longest[u] = longest[v] + 1
     return TextDag(n, tuple(edges), tuple(order), out, longest)
@@ -106,14 +110,19 @@ def build_dasg(t: Sequence[int]) -> TextDag:
     carry t[j].
     """
     n = len(t)
-    edges = []
-    for i in range(n + 1):
-        seen = set()
-        for j in range(i + 1, n + 1):
-            c = t[j - 1]
-            if c not in seen:
-                seen.add(c)
-                edges.append((i, c, j))
+    # One right-to-left pass in O(n + E): before vertex i's turn, nxt maps
+    # each label to its first position after i, in descending position
+    # order, so i's edges come out by descending target; the final reverse
+    # gives sources ascending, then targets ascending.
+    nxt: dict[int, int] = {}
+    edges: list[tuple[int, int, int]] = []
+    for i in range(n, -1, -1):
+        edges += zip(repeat(i), nxt, nxt.values())
+        if i:
+            c = t[i - 1]
+            nxt.pop(c, None)  # re-inserted last: i is the smallest position yet
+            nxt[c] = i
+    edges.reverse()
     return build_dag(n + 1, edges)
 
 
@@ -151,7 +160,7 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
         while stack:
             i = len(stack) - 1  # labels[0..i-1] matched so far
             descended = False
-            for v, c in stack[-1]:
+            for _, c, v in stack[-1]:
                 if longest[v] < m - i - 1:
                     continue
                 explored += 1

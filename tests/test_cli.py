@@ -252,6 +252,41 @@ class TestInt64RangeEdges:
         assert str(err.value) == expected
 
 
+class TestLongTokens:
+    """int() refuses a literal longer than sys.get_int_max_str_digits() (4300
+    by default) for its length alone; such a token is still an integer."""
+
+    DIGITS = 5000
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"], ids=["plain", "minus", "plus"])
+    def test_long_token_is_out_of_range(self, files, capsys, sign):
+        bad = sign + "9" * self.DIGITS
+        path = files("p.txt", f"1 {bad}\n")
+        assert main(["match-string", path, path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1:3: integer out of 64-bit signed range: {bad}\n"
+
+    def test_long_token_in_a_tree_edge_line(self, files):
+        bad = "1_" * self.DIGITS + "1"
+        path = files("t.txt", f"tree 2\n0 1 {bad}\n")
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:2:5: integer out of 64-bit signed range: {bad}"
+
+    def test_leading_zeros_do_not_count_toward_the_value(self, files):
+        zeros = "0" * self.DIGITS
+        path = files("p.txt", f"{zeros}7 -{zeros}{2**63} +{zeros}\n")
+        assert parse_pattern_file(path) == (7, -(2**63), 0)
+
+    @pytest.mark.parametrize("tail", ["x", "_", "__1", "-1"])
+    def test_long_non_integer_is_still_rejected(self, files, tail):
+        bad = "9" * self.DIGITS + tail
+        path = files("p.txt", f"1 {bad}\n")
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(path)
+        assert str(err.value) == f"{path}:1:3: not an integer: {bad!r}"
+
+
 # ---------------------------------------------------------------------------
 # Differential test of the file parsers against a token-by-token reference:
 # the reader the CLI used before it parsed in bulk.  Each content line is

@@ -71,8 +71,24 @@ class TestSearchTables:
         dags += [build_dasg([rng.randint(1, 3) for _ in range(rng.randint(0, 9))]) for _ in range(50)]
         for dag in dags:
             for u in range(dag.vertex_count):
-                assert dag.out[u] == sorted((v, c) for w, c, v in dag.edges if w == u)
+                by_target = sorted((e for e in dag.edges if e[0] == u), key=lambda e: (e[2], e[1]))
+                assert dag.out[u] == by_target
                 assert dag.longest[u] == brute_longest(dag.edges, u)
+
+    def test_out_lists_share_the_edge_tuples(self):
+        # one tuple per edge: out[u] holds the objects of dag.edges, each once
+        rng = random.Random(43)
+        dags = []
+        for _ in range(50):
+            v = rng.randint(1, 8)
+            edges = list(gen_random_dag(v, 0.5, 3, rng.randrange(2**30)).edges)
+            dag = build_dag(v, edges)
+            assert all(a is b for a, b in zip(dag.edges, edges))
+            dags.append(dag)
+        dags += [build_dasg([rng.randint(1, 3) for _ in range(rng.randint(0, 12))]) for _ in range(50)]
+        for dag in dags:
+            shared = sorted(id(e) for out in dag.out for e in out)
+            assert shared == sorted(id(e) for e in dag.edges)
 
     def test_tables_left_out_of_equality_hash_and_repr(self):
         edges = [(0, 2, 1), (0, 1, 1), (1, 5, 2)]
@@ -85,7 +101,37 @@ class TestSearchTables:
         assert hash(build_dasg(FIG_TEXT)) == hash(build_dasg(list(FIG_TEXT)))
 
 
+def reference_dasg_edges(t):
+    """The subsequence graph's edges by definition, in O(n^2): (i, c, j) when
+    position j is the first c after position i; sources ascending, then
+    targets ascending."""
+    edges = []
+    for i in range(len(t) + 1):
+        seen = set()
+        for j in range(i + 1, len(t) + 1):
+            c = t[j - 1]
+            if c not in seen:
+                seen.add(c)
+                edges.append((i, c, j))
+    return edges
+
+
 class TestBuildDasg:
+    def test_edges_match_definition_on_all_small_texts(self):
+        for sigma in (1, 2, 3):
+            for n in range(8):
+                for t in product(range(1, sigma + 1), repeat=n):
+                    assert list(build_dasg(t).edges) == reference_dasg_edges(t)
+
+    @pytest.mark.parametrize("sigma", [1, 2, 5, 50])
+    def test_edges_match_definition_on_random_texts(self, sigma):
+        rng = random.Random(sigma)
+        for _ in range(100):
+            t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 60))]
+            assert list(build_dasg(t).edges) == reference_dasg_edges(t)
+        for t in ((), (7,) * 60):
+            assert list(build_dasg(t).edges) == reference_dasg_edges(t)
+
     def test_reference_instance_shape(self):
         dag = build_dasg(FIG_TEXT)
         assert dag.vertex_count == 7
@@ -213,6 +259,26 @@ class TestMatchDag:
             assert witness is None
             counts.append(explored)
         assert counts[0] < counts[1] < counts[2]
+
+
+    def test_explored_count_pinned_on_organ_pipe_texts(self):
+        # The exact cost of the search.  With no match every edge that
+        # survives pruning is tried, in whatever order; one label shorter,
+        # the pattern matches, and witness and count then pin the order in
+        # which out-edges are tried: by target, so label 2 before label 1.
+        expected = {
+            6: 31, 8: 85, 10: 217, 12: 539, 14: 1318, 16: 3202,
+            18: 7752, 20: 18740, 22: 45269, 24: 109319, 26: 263951,
+        }
+        for n, count in expected.items():
+            t = []
+            for k in range(1, n, 2):
+                t.extend((k + 1, k))
+            p = tuple(range(1, n // 2 + 2))
+            dag = build_dasg(t)
+            assert match_dag_explored(build_pattern_tables(p), dag) == (None, count)
+            witness = [0, *range(1, n, 2)]
+            assert match_dag_explored(build_pattern_tables(p[:-1]), dag) == (witness, n - 1)
 
 
 class TestOpsm:
