@@ -146,7 +146,7 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
     subsequence-graph inputs.
     """
     m = len(tables.values)
-    lmax, lmin = tables.lmax, tables.lmin
+    steps = tables.steps
     out, longest = dag.out, dag.longest
 
     labels = [0] * m
@@ -164,11 +164,8 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
                 if longest[v] < m - i - 1:
                     continue
                 explored += 1
-                a = lmax[i]
-                b = lmin[i]
-                alpha = a == 0 or labels[a - 1] < c
-                beta = b == 0 or c < labels[b - 1]
-                if alpha != beta:
+                oa, ob, _ = steps[i]
+                if (oa is None or labels[i + oa] < c) != (ob is None or c < labels[i + ob]):
                     continue
                 labels[i] = c
                 verts[i + 1] = v

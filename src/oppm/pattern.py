@@ -17,21 +17,52 @@ relation:
 Index convention: the arrays are ordinary 0-based Python tuples, entry k
 describing the prefix of length k+1, but the *entries* of ``lmax`` and
 ``lmin`` are 1-based character positions where 0 means "no such
-character".  All matchers share this convention.
+character".
+
+The string, tree and DAG matchers read, instead of these arrays, the step
+table derived from them: ``steps[q] = (oa, ob, f)`` for automaton state q
+(the matched length), one tuple per transition test.
+
+* ``oa = lmax[q] - 1 - q`` and ``ob = lmin[q] - 1 - q``, or None where
+  the bound is absent, are offsets relative to the position of the new
+  character.  With the new character c at index j of the text, the
+  transition test is
+  ``(oa is None or t[j + oa] < c) == (ob is None or c < t[j + ob])``.
+  A present offset lies in [-q, -1], so ``j + oa`` is at least the
+  window's start ``j - q >= 0`` and never wraps around to the end.
+* ``f = border[q - 1]`` (0 for q = 0) is the failure target.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class PatternTables:
-    """Immutable compiled form of a pattern."""
+    """Immutable compiled form of a pattern.
+
+    ``steps`` is derived from the other fields on construction and left
+    out of ``__init__``, ``==``, ``hash`` and ``repr``.
+    """
 
     values: tuple[int, ...]
     lmax: tuple[int, ...]
     lmin: tuple[int, ...]
     border: tuple[int, ...]
+    steps: tuple[tuple[int | None, int | None, int], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        steps = tuple(
+            (
+                a - 1 - q if a else None,
+                b - 1 - q if b else None,
+                self.border[q - 1] if q else 0,
+            )
+            for q, (a, b) in enumerate(zip(self.lmax, self.lmin))
+        )
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -22,29 +22,27 @@ def match_string(
     Returns the ascending list of 1-based end positions together with the
     transition counts.  Overlapping occurrences are all reported: after an
     occurrence the automaton leaves the accepting state through its failure
-    transition and keeps scanning.  ``fail_count <= goto_count <= len(t)``
-    holds on every input.
+    transition and keeps scanning.  ``goto_count == len(t)`` and
+    ``fail_count <= goto_count`` hold on every input.
     """
     m = len(tables.values)
-    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
+    steps = tables.steps
+    restart = tables.border[m - 1]
     out: list[int] = []
-    goto = fail = 0
+    fail = 0
     q = 0
+    # Every character ends its failure chain with exactly one goto
+    # transition, so the goto count is len(t) without counting.
     for j, c in enumerate(t):
         while True:
-            a = lmax[q]
-            b = lmin[q]
-            base = j - q  # 0-based start of the candidate window
-            alpha = a == 0 or t[base + a - 1] < c
-            beta = b == 0 or c < t[base + b - 1]
-            if alpha == beta:
+            oa, ob, f = steps[q]
+            if (oa is None or t[j + oa] < c) == (ob is None or c < t[j + ob]):
                 break
             fail += 1
-            q = border[q - 1]
+            q = f
         q += 1
-        goto += 1
         if q == m:
             out.append(j + 1)
             fail += 1  # leave the accepting state via its failure arc
-            q = border[m - 1]
-    return out, MatchStats(goto_count=goto, fail_count=fail)
+            q = restart
+    return out, MatchStats(goto_count=len(t), fail_count=fail)

@@ -35,7 +35,8 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
     the failure-transition blowup on adversarial trees.
     """
     m = len(tables.values)
-    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
+    steps = tables.steps
+    restart = tables.border[m - 1]
     children = tree.children
     edge_label = tree.edge_label
     depth = tree.depth
@@ -67,14 +68,11 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
                 # within this subtree; skip the child entirely
                 pruned = True
                 break
-            a = lmax[q]
-            b = lmin[q]
-            alpha = a == 0 or path[d - q + a - 1] < c
-            beta = b == 0 or c < path[d - q + b - 1]
-            if alpha == beta:
+            oa, ob, f = steps[q]
+            if (oa is None or path[d + oa] < c) == (ob is None or c < path[d + ob]):
                 break
             fail += 1
-            q = border[q - 1]
+            q = f
         if pruned:
             continue
         q += 1
@@ -82,7 +80,7 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
         if q == m:
             matched.append(v)
             fail += 1  # leave the accepting state before storing
-            q = border[m - 1]
+            q = restart
         state[v] = q
         path[d] = c
         frames.append([v, 0])

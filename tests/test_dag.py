@@ -172,6 +172,45 @@ class TestBuildDasg:
         assert dasg_path_spells(dag, s) == is_subsequence(s, t)
 
 
+def reference_match_dag_explored(tables, dag):
+    """The backtracking search on lmax / lmin: the reference for
+    match_dag_explored's step-table test."""
+    m = len(tables.values)
+    lmax, lmin = tables.lmax, tables.lmin
+    out, longest = dag.out, dag.longest
+    labels = [0] * m
+    verts = [0] * (m + 1)
+    explored = 0
+    for s in range(dag.vertex_count):
+        if longest[s] < m:
+            continue
+        verts[0] = s
+        stack = [iter(out[s])]
+        while stack:
+            i = len(stack) - 1
+            descended = False
+            for _, c, v in stack[-1]:
+                if longest[v] < m - i - 1:
+                    continue
+                explored += 1
+                a = lmax[i]
+                b = lmin[i]
+                alpha = a == 0 or labels[a - 1] < c
+                beta = b == 0 or c < labels[b - 1]
+                if alpha != beta:
+                    continue
+                labels[i] = c
+                verts[i + 1] = v
+                if i + 1 == m:
+                    return list(verts), explored
+                stack.append(iter(out[v]))
+                descended = True
+                break
+            if not descended:
+                stack.pop()
+    return None, explored
+
+
 class TestMatchDag:
     def test_increasing_triple_witness(self):
         dag = build_dasg(FIG_TEXT)
@@ -279,6 +318,20 @@ class TestMatchDag:
             assert match_dag_explored(build_pattern_tables(p), dag) == (None, count)
             witness = [0, *range(1, n, 2)]
             assert match_dag_explored(build_pattern_tables(p[:-1]), dag) == (witness, n - 1)
+
+
+    def test_witness_and_explored_equal_reference_loop(self):
+        rng = random.Random(7003)
+        for sigma in (1, 2, 5, 100):
+            for m in range(1, 13):
+                for _ in range(8):
+                    tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
+                    t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 16))]
+                    v = rng.randint(1, 14)
+                    random_dag = gen_random_dag(v, 0.4, sigma, rng.randrange(2**30))
+                    for dag in (build_dasg(t), random_dag):
+                        expected = reference_match_dag_explored(tables, dag)
+                        assert match_dag_explored(tables, dag) == expected
 
 
 class TestOpsm:

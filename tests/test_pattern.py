@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from oppm.oracles import naive_border, naive_isomorphic, naive_lmax_lmin
 from oppm.pattern import (
+    PatternTables,
     build_pattern_tables,
     compute_border_array,
     compute_lmax_lmin,
     extend_isomorphism,
     op_isomorphic,
 )
+from oppm.stringmatch import match_string
 
 int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 wide_patterns = st.lists(int64, min_size=1, max_size=10)
@@ -95,6 +97,47 @@ class TestTableInvariants:
         shifted = [3 * v + 7 for v in p]
         assert compute_lmax_lmin(p) == compute_lmax_lmin(shifted)
         assert build_pattern_tables(p).border == build_pattern_tables(shifted).border
+
+
+def check_step_table(p):
+    tables = build_pattern_tables(p)
+    assert len(tables.steps) == len(p)
+    for q, (oa, ob, f) in enumerate(tables.steps):
+        a, b = tables.lmax[q], tables.lmin[q]
+        assert oa == (a - 1 - q if a else None)
+        assert ob == (b - 1 - q if b else None)
+        assert f == (tables.border[q - 1] if q else 0)
+        assert all(-q <= o <= -1 for o in (oa, ob) if o is not None)
+    by_hand = PatternTables(tables.values, tables.lmax, tables.lmin, tables.border)
+    assert by_hand == tables and by_hand.steps == tables.steps
+    t = [*p, *reversed(p), *p]
+    assert match_string(by_hand, t) == match_string(tables, t)
+
+
+class TestStepTable:
+    def test_exhaustive_tiny_alphabet(self):
+        for m in range(1, 6):
+            for p in product((1, 2, 3), repeat=m):
+                check_step_table(p)
+
+    @given(any_pattern)
+    def test_matches_definition(self, p):
+        check_step_table(p)
+
+    def test_worked_example(self):
+        tables = build_pattern_tables((22, 41, 35, 37))
+        assert tables.steps == ((None, None, 0), (-1, None, 0), (-2, -1, 1), (-1, -2, 1))
+
+    def test_derived_not_constructed_and_left_out_of_hash_and_repr(self):
+        tables = build_pattern_tables((22, 41, 35, 37))
+        fields = (tables.values, tables.lmax, tables.lmin, tables.border)
+        with pytest.raises(TypeError):
+            PatternTables(*fields, tables.steps)
+        assert hash(PatternTables(*fields)) == hash(tables)
+        assert repr(tables) == (
+            "PatternTables(values=(22, 41, 35, 37), lmax=(0, 1, 1, 3), "
+            "lmin=(0, 0, 2, 2), border=(0, 1, 1, 2))"
+        )
 
 
 class TestExtendIsomorphism:

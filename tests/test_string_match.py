@@ -7,7 +7,35 @@ from hypothesis import strategies as st
 
 from oppm.oracles import naive_match_string
 from oppm.pattern import build_pattern_tables
-from oppm.stringmatch import match_string
+from oppm.stringmatch import MatchStats, match_string
+
+
+def reference_match_string(tables, t):
+    """The automaton loop on lmax / lmin / border, with an explicit goto
+    count: the reference for match_string's step-table loop."""
+    m = len(tables.values)
+    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
+    out = []
+    goto = fail = 0
+    q = 0
+    for j, c in enumerate(t):
+        while True:
+            a = lmax[q]
+            b = lmin[q]
+            base = j - q
+            alpha = a == 0 or t[base + a - 1] < c
+            beta = b == 0 or c < t[base + b - 1]
+            if alpha == beta:
+                break
+            fail += 1
+            q = border[q - 1]
+        q += 1
+        goto += 1
+        if q == m:
+            out.append(j + 1)
+            fail += 1
+            q = border[m - 1]
+    return out, MatchStats(goto_count=goto, fail_count=fail)
 
 
 @st.composite
@@ -23,7 +51,7 @@ def test_worked_example():
     tables = build_pattern_tables((22, 41, 35, 37))
     positions, stats = match_string(tables, (63, 18, 48, 29, 42, 56, 25, 51))
     assert positions == [5]
-    assert stats.fail_count <= stats.goto_count <= 8
+    assert (stats.goto_count, stats.fail_count) == (8, 5)
 
 
 def test_pattern_longer_than_text():
@@ -90,3 +118,14 @@ def test_seeded_random_suite_matches_brute_force():
         positions, stats = match_string(build_pattern_tables(p), t)
         assert positions == naive_match_string(p, t)
         assert stats.fail_count <= stats.goto_count <= n
+
+
+def test_positions_and_counters_equal_reference_loop():
+    rng = random.Random(7001)
+    for sigma in (1, 2, 5, 100):
+        for m in range(1, 13):
+            for _ in range(15):
+                p = [rng.randint(1, sigma) for _ in range(m)]
+                t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 200))]
+                tables = build_pattern_tables(p)
+                assert match_string(tables, t) == reference_match_string(tables, t), (p, t)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
 from oppm.oracles import naive_match_tree
 from oppm.pattern import PatternTables, build_pattern_tables
-from oppm.stringmatch import match_string
+from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
-from oppm.treematch import match_tree
+from oppm.treematch import TreeMatchReport, match_tree
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -37,6 +37,57 @@ def match_tree_on_path_equals_string(tables: PatternTables, tree: TextTree) -> b
         if sorted(tree.depth[v] for v in report.matched_nodes) != positions:
             return False
     return True
+
+
+def reference_match_tree(tables, tree, prune):
+    """The DFS automaton on lmax / lmin / border: the reference for
+    match_tree's step-table loop."""
+    m = len(tables.values)
+    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
+    children = tree.children
+    path = [0] * tree.max_depth
+    state = [0] * tree.node_count
+    matched = []
+    goto = fail = 0
+    frames = [[0, 0]]
+    while frames:
+        frame = frames[-1]
+        u = frame[0]
+        slot = frame[1]
+        if slot == len(children[u]):
+            frames.pop()
+            continue
+        frame[1] = slot + 1
+        v = children[u][slot]
+        c = tree.edge_label[v]
+        d = tree.depth[u]
+        q = state[u]
+        pruned = False
+        while True:
+            if prune and tree.subtree_height[u] < m - q:
+                pruned = True
+                break
+            a = lmax[q]
+            b = lmin[q]
+            alpha = a == 0 or path[d - q + a - 1] < c
+            beta = b == 0 or c < path[d - q + b - 1]
+            if alpha == beta:
+                break
+            fail += 1
+            q = border[q - 1]
+        if pruned:
+            continue
+        q += 1
+        goto += 1
+        if q == m:
+            matched.append(v)
+            fail += 1
+            q = border[m - 1]
+        state[v] = q
+        path[d] = c
+        frames.append([v, 0])
+    matched.sort()
+    return TreeMatchReport(matched, MatchStats(goto_count=goto, fail_count=fail))
 
 
 @st.composite
@@ -144,6 +195,28 @@ class TestMatchTree:
         report = match_tree(tables, tree)
         positions, _ = match_string(tables, labels)
         assert [tree.depth[v] for v in report.matched_nodes] == positions
+
+
+class TestReferenceLoop:
+    def test_random_trees_equal_reference_loop(self):
+        rng = random.Random(7002)
+        for sigma in (1, 2, 5, 100):
+            for m in range(1, 13):
+                for _ in range(6):
+                    tree = gen_random_tree(rng.randint(1, 200), sigma, rng.randrange(2**30))
+                    tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
+                    for prune in (True, False):
+                        expected = reference_match_tree(tables, tree, prune)
+                        assert match_tree(tables, tree, prune) == expected
+
+    def test_adversarial_trees_equal_reference_loop(self):
+        for h in range(8, 13):
+            for m in range(1, h - 1):
+                inst = gen_adversarial(h, m)
+                tables = build_pattern_tables(inst.pattern)
+                for prune in (True, False):
+                    expected = reference_match_tree(tables, inst.tree, prune)
+                    assert match_tree(tables, inst.tree, prune) == expected
 
 
 class TestAdversarialCounters:
