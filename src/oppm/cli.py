@@ -15,7 +15,6 @@ validation error.
 import argparse
 import re
 import sys
-import time
 from itertools import islice
 
 from .dag import (
@@ -24,7 +23,6 @@ from .dag import (
     build_dag,
     build_dasg,
     match_dag,
-    match_dag_explored,
     opsm,
 )
 from .gen import gen_adversarial, gen_random_dag, gen_random_string, gen_random_tree
@@ -234,6 +232,10 @@ def parse_dag_file(path: str) -> TextDag:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
         raise f.error(str(exc), 1 + exc.edge) from exc
+    except MemoryError:
+        # the edges are in memory already; what build_dag adds is a table
+        # entry per vertex, so it is the header's V that could not be met
+        raise f.error(f"vertex count {v_count} is too large", 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -411,65 +413,6 @@ def _gen_random_dag(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{what} must be a comma-separated integer list") from None
-    if not values:
-        raise UsageError(f"{what} must name at least one value")
-    return values
-
-
-def organ_pipe_instance(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Swapped-pair text of even length n and the increasing pattern of
-    length n/2 + 1 that exceeds the text's longest increasing subsequence,
-    forcing a full backtracking search with no match."""
-    if n < 2 or n % 2 != 0:
-        raise UsageError("dasg bench sizes must be even and at least 2")
-    t = []
-    for k in range(1, n, 2):
-        t.extend((k + 1, k))
-    p = tuple(range(1, n // 2 + 2))
-    return p, tuple(t)
-
-
-def _bench_adversarial(ns: argparse.Namespace) -> int:
-    heights = sorted(_parse_int_list(ns.heights, "--heights"))
-    rows = ["h,N,m,goto,fail_pruned,fail_naive"]
-    for h in heights:
-        m = ns.pattern_length if ns.pattern_length is not None else h - 2
-        try:
-            inst = gen_adversarial(h, m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        tables = build_pattern_tables(inst.pattern)
-        pruned = match_tree(tables, inst.tree, prune=True)
-        naive = match_tree(tables, inst.tree, prune=False)
-        rows.append(
-            f"{h},{inst.tree.node_count},{m},{pruned.stats.goto_count},"
-            f"{pruned.stats.fail_count},{naive.stats.fail_count}"
-        )
-    _emit("".join(row + "\n" for row in rows), ns.output)
-    return 0
-
-
-def _bench_dasg(ns: argparse.Namespace) -> int:
-    sizes = sorted(_parse_int_list(ns.sizes, "--sizes"))
-    rows = ["n,m,explored,matched,seconds"]
-    for n in sizes:
-        p, t = organ_pipe_instance(n)
-        tables = build_pattern_tables(p)
-        dag = build_dasg(t)
-        start = time.perf_counter()
-        witness, explored = match_dag_explored(tables, dag)
-        elapsed = time.perf_counter() - start
-        matched = "yes" if witness is not None else "no"
-        rows.append(f"{n},{len(p)},{explored},{matched},{elapsed:.6f}")
-    _emit("".join(row + "\n" for row in rows), ns.output)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -561,22 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--alphabet", type=int, required=True)
     gd.add_argument("--seed", type=int, default=0)
     gd.add_argument("--out", dest="output")
-
-    b = sub.add_parser("bench", help="counter and cost experiments (CSV)")
-    bsub = b.add_subparsers(dest="bench_command", required=True, parser_class=_Parser)
-
-    ba = bsub.add_parser("adversarial", help="pruned vs unpruned failure counts")
-    ba.set_defaults(func=_bench_adversarial)
-    ba.add_argument("--heights", required=True, help="comma-separated tree heights")
-    ba.add_argument(
-        "--pattern-length", type=int, default=None, help="defaults to height - 2"
-    )
-    ba.add_argument("--out", dest="output")
-
-    bdg = bsub.add_parser("dasg", help="exponential path-search cost evidence")
-    bdg.set_defaults(func=_bench_dasg)
-    bdg.add_argument("--sizes", required=True, help="comma-separated even text sizes")
-    bdg.add_argument("--out", dest="output")
 
     return parser
 

@@ -1,14 +1,17 @@
 """CLI subcommands, file formats, and exit codes."""
 
+import argparse
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from oppm.cli import (
     ParseError,
+    build_parser,
     dag_file_text,
     main,
     parse_dag_file,
@@ -674,31 +677,6 @@ class TestGenAndBenchCommands:
         assert main(args) == 0
         assert parse_dag_file(out).vertex_count == 10
 
-    def test_bench_adversarial_csv(self, capsys):
-        assert main(["bench", "adversarial", "--heights", "6,5"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "h,N,m,goto,fail_pruned,fail_naive"
-        assert len(lines) == 3
-        rows = [line.split(",") for line in lines[1:]]
-        assert [r[0] for r in rows] == ["5", "6"]  # emitted in height order
-        for r in rows:
-            h, n, m = int(r[0]), int(r[1]), int(r[2])
-            goto, fail_pruned, fail_naive = int(r[3]), int(r[4]), int(r[5])
-            assert n == 2 ** (h + 1) - 1
-            assert goto <= n
-            assert fail_pruned <= 4 * (n + m)
-            assert fail_naive >= (m - 1) * 2 ** (h - 2)
-
-    def test_bench_dasg_csv(self, capsys):
-        assert main(["bench", "dasg", "--sizes", "6,8"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "n,m,explored,matched,seconds"
-        first, second = (line.split(",") for line in lines[1:])
-        assert int(first[2]) < int(second[2])
-
-    def test_bench_dasg_rejects_odd_sizes(self, capsys):
-        assert main(["bench", "dasg", "--sizes", "7"]) == 1
-
 
 class TestExitCodes:
     def test_missing_argument_is_usage_error(self, files, capsys):
@@ -734,6 +712,15 @@ class TestExitCodes:
     def test_validation_error_exit_code(self, files, capsys):
         tree = files("t.txt", "tree 3\n0 1 5\n0 1 6\n")
         assert main(["match-tree", files("p.txt", "1\n"), tree]) == 2
+
+    def test_unallocatable_vertex_count_is_parse_error(self, files, capsys):
+        # CPython refuses a list this long before allocating anything; a
+        # smaller V that the machine would try to allocate is not tested here
+        dag = files("big.dag", "dag 9223372036854775807 0\n")
+        assert main(["match-dag", files("p.txt", "1\n"), dag]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dag}:1: vertex count 9223372036854775807 is too large\n"
+        )
 
     @pytest.mark.parametrize(
         "data, line",
@@ -772,3 +759,30 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def _command_paths(parser, prefix=()):
+    """Every runnable command of ``parser``, as a tuple of subcommand names."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return set().union(
+        *(_command_paths(p, prefix + (name,)) for name, p in subs[0].choices.items())
+    )
+
+
+def test_readme_synopsis_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M)
+    documented = set()
+    for line in block.group(1).splitlines():
+        words = line.split()
+        assert words[0] == "oppm", line
+        # the command names come before the first file name or option
+        names = []
+        for word in words[1:]:
+            if not re.fullmatch(r"[a-z][a-z-]*", word):
+                break
+            names.append(word)
+        documented.add(tuple(names))
+    assert documented == _command_paths(build_parser())

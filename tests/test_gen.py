@@ -82,6 +82,7 @@ class TestAdversarialFamily:
             pruned = match_tree(tables, inst.tree, prune=True)
             unpruned = match_tree(tables, inst.tree, prune=False)
             n = inst.tree.node_count
+            assert pruned.stats.goto_count <= n
             assert pruned.stats.fail_count <= 4 * (n + m)
             assert unpruned.stats.fail_count >= (m - 1) * 2 ** (h - 2)
 
