@@ -2,8 +2,9 @@
 
 Everything here is deliberately quadratic or exponential.  These functions
 share no code with the fast matchers (only the plain tree container is
-reused), so agreement between the two sides is meaningful evidence.  Size
-guards stop the exponential ones from being misused in benchmarks.
+reused, and of it only the parents and edge labels are read), so agreement
+between the two sides is meaningful evidence.  Size guards stop the
+exponential ones from being misused in benchmarks.
 """
 
 from collections.abc import Sequence
@@ -65,17 +66,18 @@ def naive_match_string(p: Sequence[int], t: Sequence[int]) -> list[int]:
 
 
 def naive_match_tree(p: Sequence[int], tree: TextTree) -> list[int]:
-    """Test the last m root-path labels of every deep-enough node."""
+    """Test the last m root-path labels of every deep-enough node, found
+    by walking ``parent`` up from the node."""
     m = len(p)
     out = []
     for v in range(tree.node_count):
-        if tree.depth[v] < m:
-            continue
         labels = []
         u = v
-        for _ in range(m):
+        while len(labels) < m and tree.parent[u] != -1:
             labels.append(tree.edge_label[u])
             u = tree.parent[u]
+        if len(labels) < m:
+            continue  # the root is fewer than m edges up
         labels.reverse()
         if naive_isomorphic(p, labels):
             out.append(v)

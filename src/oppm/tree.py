@@ -1,11 +1,20 @@
-"""Rooted edge-labeled tree text model.
+"""Rooted edge-labeled tree text model, stored as flat per-node arrays.
 
-Node ids are 0..N-1 with node 0 the root.  Each non-root node stores the
-label of the edge from its parent, its depth, and the height of its
-subtree (the length of the longest downward path to a leaf).
+Node ids are 0..N-1 with node 0 the root.  Each non-root node stores its
+parent and the label of the edge from it; every node stores its depth
+and the height of its subtree (the length of the longest downward path
+to a leaf).  ``preorder`` lists the nodes in depth-first preorder, with
+siblings in the order their edges appear in the input: every node comes
+after its parent, and a node's subtree is the contiguous run that starts
+at it.  ``build_tree`` makes no per-node container: it links each node to
+its first child and to its next sibling in two flat arrays and walks
+those once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 
 
 class TreeValidationError(ValueError):
@@ -23,11 +32,20 @@ class TreeValidationError(ValueError):
 class TextTree:
     node_count: int
     parent: tuple[int, ...]  # parent[0] = -1
-    children: tuple[tuple[int, ...], ...]  # input order preserved
     edge_label: tuple[int, ...]  # edge_label[v] labels the edge parent[v] -> v
     depth: tuple[int, ...]
     subtree_height: tuple[int, ...]
     max_depth: int
+    preorder: tuple[int, ...]  # siblings in input order
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children in input order, derived on first access."""
+        kids: list[list[int]] = [[] for _ in range(self.node_count)]
+        parent = self.parent
+        for v in islice(self.preorder, 1, None):
+            kids[parent[v]].append(v)
+        return tuple(map(tuple, kids))
 
 
 def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
@@ -37,52 +55,82 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
     offending node on duplicate children, out-of-range ids, or nodes not
     reachable from the root (which covers both disconnection and cycles);
-    for an unreachable node the offending edge is the one into it.
+    for an unreachable node the offending edge is the one into it.  When
+    an edge list has several faults, the one of the earliest edge wins.
     """
     n = len(edges) + 1
+    us = list(map(itemgetter(0), edges))
+    vs = list(map(itemgetter(1), edges))
+    # check the id columns in bulk; only a failed check walks the edges
+    if edges and (
+        min(us) < 0 or max(us) >= n or min(vs) < 1 or max(vs) >= n
+        or len(set(vs)) < n - 1
+    ):
+        raise _first_fault(edges)
+
     parent = [-1] * n
     label = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v, lab) in enumerate(edges):
-        if not 0 <= u < n:
-            raise TreeValidationError(f"unknown parent id {u}", i)
-        if not 0 <= v < n:
-            raise TreeValidationError(f"unknown child id {v}", i)
-        if v == 0:
-            raise TreeValidationError("node 0 is the root and cannot be a child", i)
-        if parent[v] != -1:
-            raise TreeValidationError(f"duplicate child {v}", i)
+    # first[u] is u's first child and after[v] the sibling that follows v,
+    # both in input order; 0, the root, is nobody's child and means "none"
+    first = [0] * n
+    after = [0] * n
+    for u, v, lab in reversed(edges):
         parent[v] = u
         label[v] = lab
-        children[u].append(v)
+        after[v] = first[u]
+        first[u] = v
 
-    # BFS from the root; the visit order has every parent before its children.
-    order = [0]
-    depth = [0] * n
-    for u in order:
-        for c in children[u]:
-            depth[c] = depth[u] + 1
-            order.append(c)
-    if len(order) != n:
-        reached = set(order)
+    # descend along first children; a sibling still to visit waits on the stack
+    preorder = [0]
+    stack = [first[0]]
+    while stack:
+        v = stack.pop()
+        while v:
+            preorder.append(v)
+            if after[v]:
+                stack.append(after[v])
+            v = first[v]
+    if len(preorder) != n:
+        reached = set(preorder)
         missing = min(v for v in range(n) if v not in reached)
-        edge = next(i for i, e in enumerate(edges) if e[1] == missing)
         raise TreeValidationError(
-            f"node {missing} is not reachable from the root", edge
+            f"node {missing} is not reachable from the root", vs.index(missing)
         )
 
+    depth = [0] * n
+    for v in islice(preorder, 1, None):
+        depth[v] = depth[parent[v]] + 1
     height = [0] * n
-    for u in reversed(order):
-        if children[u]:
-            height[u] = 1 + max(height[c] for c in children[u])
+    for v in islice(reversed(preorder), n - 1):  # every node but the root
+        h = height[v] + 1
+        u = parent[v]
+        if h > height[u]:
+            height[u] = h
 
     return TextTree(
         node_count=n,
         parent=tuple(parent),
-        children=tuple(tuple(cs) for cs in children),
         edge_label=tuple(label),
         depth=tuple(depth),
         subtree_height=tuple(height),
         max_depth=max(depth),
+        preorder=tuple(preorder),
     )
 
+
+def _first_fault(edges: list[tuple[int, int, int]]) -> TreeValidationError:
+    """Walk the edges in input order to the first one that breaks a range
+    or duplicate rule; the caller has seen that one does."""
+    n = len(edges) + 1
+    seen = [False] * n
+    for i, (u, v, _) in enumerate(edges):
+        if not 0 <= u < n:
+            return TreeValidationError(f"unknown parent id {u}", i)
+        if not 0 <= v < n:
+            return TreeValidationError(f"unknown child id {v}", i)
+        if v == 0:
+            return TreeValidationError("node 0 is the root and cannot be a child", i)
+        if seen[v]:
+            return TreeValidationError(f"duplicate child {v}", i)
+        seen[v] = True
+    raise AssertionError("no faulty edge")

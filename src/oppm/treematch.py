@@ -1,19 +1,24 @@
 """Order-preserving matching over a rooted edge-labeled tree.
 
-A DFS drives the same automaton used for string matching.  The labels of
-the current root path sit in a stack indexed by depth, giving O(1) access
-to any window ending at the current node.  Each visited node stores the
-automaton state reached on arrival (the accepting state is replaced by
-its failure target) so matching resumes correctly when the DFS returns to
-a node and proceeds to its next child.
+One pass over the tree's preorder drives the same automaton used for
+string matching.  A node's transition depends only on its parent's state
+and the labels on its own root path, so any order that puts parents
+first gives the same states, matches and counts.  Preorder is chosen for
+the path labels: they sit in one array indexed by depth, and when a node
+is reached, the last label written at each shallower depth is that of
+its own ancestor, so any window ending at the node is read in O(1).
+Each node keeps the state reached on arrival (the accepting state is
+replaced by its failure target) for its children to start from.
 
 With pruning enabled, a child edge is abandoned, chain and descent both,
 as soon as the parent's subtree is too shallow for the current candidate
-state to ever reach the accepting state.  Pruning never changes the match
-set, only the failure-transition count.
+state to ever reach the accepting state; the child's state is set to -1,
+and every node below it inherits that mark without a transition.
+Pruning never changes the match set, only the failure-transition count.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .pattern import PatternTables
 from .stringmatch import MatchStats
@@ -37,43 +42,35 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
     m = len(tables.values)
     steps = tables.steps
     restart = tables.border[m - 1]
-    children = tree.children
+    parent = tree.parent
     edge_label = tree.edge_label
     depth = tree.depth
     height = tree.subtree_height
 
     path = [0] * tree.max_depth  # path[d-1] = label of the edge into the depth-d node
-    state = [0] * tree.node_count
+    state = [0] * tree.node_count  # -1: pruned, with everything below it
     matched: list[int] = []
     goto = fail = 0
 
-    # frame = [node, index of next child to process]
-    frames = [[0, 0]]
-    while frames:
-        frame = frames[-1]
-        u = frame[0]
-        slot = frame[1]
-        if slot == len(children[u]):
-            frames.pop()
+    for v in islice(tree.preorder, 1, None):
+        u = parent[v]
+        q = state[u]
+        if q < 0:
+            state[v] = -1
             continue
-        frame[1] = slot + 1
-        v = children[u][slot]
         c = edge_label[v]
         d = depth[u]
-        q = state[u]
-        pruned = False
-        while True:
-            if prune and height[u] < m - q:
-                # no state reachable from candidate q can complete a match
-                # within this subtree; skip the child entirely
-                pruned = True
-                break
+        # no state reachable from a candidate below `floor` can complete a
+        # match within u's subtree; the child edge is skipped entirely
+        floor = m - height[u] if prune else 0
+        while q >= floor:
             oa, ob, f = steps[q]
             if (oa is None or path[d + oa] < c) == (ob is None or c < path[d + ob]):
                 break
             fail += 1
             q = f
-        if pruned:
+        else:
+            state[v] = -1
             continue
         q += 1
         goto += 1
@@ -83,10 +80,8 @@ def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> Tre
             q = restart
         state[v] = q
         path[d] = c
-        frames.append([v, 0])
 
     matched.sort()
     return TreeMatchReport(
         matched_nodes=matched, stats=MatchStats(goto_count=goto, fail_count=fail)
     )
-

@@ -12,6 +12,7 @@ from oppm.pattern import PatternTables, build_pattern_tables
 from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
 from oppm.treematch import TreeMatchReport, match_tree
+from test_tree import permuted_edges, tree_edges
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -99,6 +100,15 @@ def tree_and_pattern(draw):
     return gen_random_tree(n, sigma, seed), p
 
 
+@st.composite
+def permuted_tree_and_pattern(draw):
+    """A random tree whose ids are renumbered and edges shuffled, so the
+    preorder differs from the id order."""
+    tree, p = draw(tree_and_pattern())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return build_tree(permuted_edges(tree_edges(tree), rng)), p
+
+
 class TestMatchTree:
     def test_example_tree(self):
         tree = build_tree(EXAMPLE_EDGES)
@@ -137,6 +147,14 @@ class TestMatchTree:
         tree, p = case
         report = match_tree(build_pattern_tables(p), tree)
         assert report.matched_nodes == naive_match_tree(p, tree)
+
+    @given(permuted_tree_and_pattern())
+    def test_permuted_ids_match_brute_force(self, case):
+        tree, p = case
+        tables = build_pattern_tables(p)
+        expected = naive_match_tree(p, tree)
+        for prune in (True, False):
+            assert match_tree(tables, tree, prune).matched_nodes == expected
 
     @given(tree_and_pattern())
     def test_goto_bounded_by_node_count(self, case):
@@ -204,10 +222,12 @@ class TestReferenceLoop:
             for m in range(1, 13):
                 for _ in range(6):
                     tree = gen_random_tree(rng.randint(1, 200), sigma, rng.randrange(2**30))
+                    permuted = build_tree(permuted_edges(tree_edges(tree), rng))
                     tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
-                    for prune in (True, False):
-                        expected = reference_match_tree(tables, tree, prune)
-                        assert match_tree(tables, tree, prune) == expected
+                    for t in (tree, permuted):
+                        for prune in (True, False):
+                            expected = reference_match_tree(tables, t, prune)
+                            assert match_tree(tables, t, prune) == expected
 
     def test_adversarial_trees_equal_reference_loop(self):
         for h in range(8, 13):
