@@ -269,7 +269,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each takes the parsed argparse.Namespace
+# subcommand handlers; each takes the Namespace and returns its output text
 
 
 def _load_pattern(path: str) -> tuple[int, ...]:
@@ -279,56 +279,41 @@ def _load_pattern(path: str) -> tuple[int, ...]:
     return p
 
 
-def _check_stats_flag(ns: argparse.Namespace) -> None:
-    if ns.stats and ns.oracle:
-        raise UsageError("--stats cannot be combined with --oracle")
+def _oracle_fits(size: int, limit: int, what: str) -> None:
+    """Refuse --oracle on an input over ``limit``; {} in ``what`` is the limit."""
+    if size > limit:
+        raise UsageError("--oracle is limited to " + what.format(limit))
 
 
-def _match_string(ns: argparse.Namespace) -> int:
-    _check_stats_flag(ns)
+def _match_lines(ids, stats=None) -> str:
+    """One id per line, then ``goto=<n> fail=<n>`` if ``stats`` is given."""
+    lines = [str(i) for i in ids]
+    if stats is not None:
+        lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _match_string(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     t = parse_pattern_file(ns.text)
-    lines = []
     if ns.oracle:
-        if len(t) > ORACLE_STRING_LIMIT:
-            raise UsageError(
-                f"--oracle is limited to texts of length <= {ORACLE_STRING_LIMIT}"
-            )
-        positions = naive_match_string(p, t)
-        stats = None
-    else:
-        positions, stats = match_string(build_pattern_tables(p), t)
-    lines.extend(str(i) for i in positions)
-    if ns.stats and stats is not None:
-        lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
-    _emit("".join(line + "\n" for line in lines), ns.output)
-    return 0
+        _oracle_fits(len(t), ORACLE_STRING_LIMIT, "texts of length <= {}")
+        return _match_lines(naive_match_string(p, t))
+    positions, stats = match_string(build_pattern_tables(p), t)
+    return _match_lines(positions, stats if ns.stats else None)
 
 
-def _match_tree(ns: argparse.Namespace) -> int:
-    _check_stats_flag(ns)
+def _match_tree(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     tree = parse_tree_file(ns.tree)
-    lines = []
     if ns.oracle:
-        if tree.node_count > ORACLE_TREE_LIMIT:
-            raise UsageError(
-                f"--oracle is limited to trees with <= {ORACLE_TREE_LIMIT} nodes"
-            )
-        nodes = naive_match_tree(p, tree)
-        stats = None
-    else:
-        report = match_tree(build_pattern_tables(p), tree, prune=ns.prune)
-        nodes = report.matched_nodes
-        stats = report.stats
-    lines.extend(str(v) for v in nodes)
-    if ns.stats and stats is not None:
-        lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
-    _emit("".join(line + "\n" for line in lines), ns.output)
-    return 0
+        _oracle_fits(tree.node_count, ORACLE_TREE_LIMIT, "trees with <= {} nodes")
+        return _match_lines(naive_match_tree(p, tree))
+    report = match_tree(build_pattern_tables(p), tree, prune=ns.prune)
+    return _match_lines(report.matched_nodes, report.stats if ns.stats else None)
 
 
-def _match_dag(ns: argparse.Namespace) -> int:
+def _match_dag(ns: argparse.Namespace) -> str:
     if ns.oracle:
         raise UsageError(
             "match-dag has no brute-force oracle; use opsm --oracle for "
@@ -338,79 +323,61 @@ def _match_dag(ns: argparse.Namespace) -> int:
     dag = parse_dag_file(ns.dag)
     witness = match_dag(build_pattern_tables(p), dag)
     if witness is None:
-        _emit("no\n", ns.output)
-    else:
-        text = "yes\n"
-        if ns.witness:
-            text += " ".join(str(v) for v in witness) + "\n"
-        _emit(text, ns.output)
-    return 0
+        return "no\n"
+    return "yes\n" + (pattern_file_text(witness) if ns.witness else "")
 
 
-def _build_dasg(ns: argparse.Namespace) -> int:
-    t = parse_pattern_file(ns.text)
-    _emit(dag_file_text(build_dasg(t)), ns.output)
-    return 0
+def _build_dasg(ns: argparse.Namespace) -> str:
+    return dag_file_text(build_dasg(parse_pattern_file(ns.text)))
 
 
-def _opsm(ns: argparse.Namespace) -> int:
+def _opsm(ns: argparse.Namespace) -> str:
     p = parse_pattern_file(ns.pattern)
     t = parse_pattern_file(ns.text)
     if ns.oracle:
-        if len(t) > OPSM_TEXT_LIMIT:
-            raise UsageError(
-                f"--oracle is limited to texts of length <= {OPSM_TEXT_LIMIT}"
-            )
+        _oracle_fits(len(t), OPSM_TEXT_LIMIT, "texts of length <= {}")
         found = naive_opsm(p, t)
     else:
         found = opsm(p, t)
-    _emit("yes\n" if found else "no\n", ns.output)
-    return 0
+    return "yes\n" if found else "no\n"
 
 
-def _gen_adversarial(ns: argparse.Namespace) -> int:
+def _gen_adversarial(ns: argparse.Namespace) -> str:
     h = ns.height
     m = ns.pattern_length if ns.pattern_length is not None else h - 2
     try:
         inst = gen_adversarial(h, m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(tree_file_text(inst.tree), ns.tree_out)
     if ns.pattern_out is not None:
         _emit(pattern_file_text(inst.pattern), ns.pattern_out)
-    return 0
+    return tree_file_text(inst.tree)
 
 
-def _gen_random_string(ns: argparse.Namespace) -> int:
+def _gen_random_string(ns: argparse.Namespace) -> str:
     if ns.length < 0:
         raise UsageError("length cannot be negative")
     if ns.alphabet < 1:
         raise UsageError("alphabet size must be at least 1")
-    seq = gen_random_string(ns.length, ns.alphabet, ns.seed)
-    _emit(pattern_file_text(seq), ns.output)
-    return 0
+    return pattern_file_text(gen_random_string(ns.length, ns.alphabet, ns.seed))
 
 
-def _gen_random_tree(ns: argparse.Namespace) -> int:
+def _gen_random_tree(ns: argparse.Namespace) -> str:
     if ns.nodes < 1:
         raise UsageError("node count must be at least 1")
     if ns.alphabet < 1:
         raise UsageError("alphabet size must be at least 1")
-    tree = gen_random_tree(ns.nodes, ns.alphabet, ns.seed)
-    _emit(tree_file_text(tree), ns.output)
-    return 0
+    return tree_file_text(gen_random_tree(ns.nodes, ns.alphabet, ns.seed))
 
 
-def _gen_random_dag(ns: argparse.Namespace) -> int:
+def _gen_random_dag(ns: argparse.Namespace) -> str:
     if ns.vertices < 1:
         raise UsageError("vertex count must be at least 1")
     if not 0.0 <= ns.density <= 1.0:
         raise UsageError("density must lie in [0, 1]")
     if ns.alphabet < 1:
         raise UsageError("alphabet size must be at least 1")
-    dag = gen_random_dag(ns.vertices, ns.density, ns.alphabet, ns.seed)
-    _emit(dag_file_text(dag), ns.output)
-    return 0
+    return dag_file_text(gen_random_dag(ns.vertices, ns.density, ns.alphabet, ns.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     ms.set_defaults(func=_match_string)
     ms.add_argument("pattern", help="pattern file")
     ms.add_argument("text", help="string file")
-    ms.add_argument("--stats", action="store_true", help="append transition counts")
-    ms.add_argument("--oracle", action="store_true", help="use the brute-force path")
-    ms.add_argument("--out", dest="output", help="write output to a file")
 
     mt = sub.add_parser("match-tree", help="find op-matching root-path windows")
     mt.set_defaults(func=_match_tree)
@@ -447,9 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="disable subtree-height pruning of failure chains",
     )
-    mt.add_argument("--stats", action="store_true", help="append transition counts")
-    mt.add_argument("--oracle", action="store_true", help="use the brute-force path")
-    mt.add_argument("--out", dest="output", help="write output to a file")
+
+    for cmd in (ms, mt):
+        mode = cmd.add_mutually_exclusive_group()
+        mode.add_argument("--stats", action="store_true", help="append transition counts")
+        mode.add_argument("--oracle", action="store_true", help="use the brute-force path")
+        cmd.add_argument("--out", dest="output", help="write output to a file")
 
     md = sub.add_parser("match-dag", help="find an op-matching path in a DAG")
     md.set_defaults(func=_match_dag)
@@ -480,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument(
         "--pattern-length", type=int, default=None, help="defaults to height - 2"
     )
-    ga.add_argument("--tree-out", default=None, help="tree file (default stdout)")
+    ga.add_argument(
+        "--tree-out", dest="output", metavar="TREE_OUT", help="tree file (default stdout)"
+    )
     ga.add_argument("--pattern-out", default=None, help="also write the pattern file")
 
     gs = gsub.add_parser("random-string", help="seeded random string")
@@ -512,17 +481,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        return ns.func(ns)
+        _emit(ns.func(ns), ns.output)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TreeValidationError, DagValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, TreeValidationError, DagValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

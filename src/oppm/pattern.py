@@ -68,24 +68,13 @@ class PatternTables:
         return len(self.values)
 
 
-def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Compute the tight-predecessor arrays of ``p`` in O(m log m).
-
-    ``lmax[i]`` is the rightmost position j < i+1 (1-based) whose value is
-    the largest one not exceeding ``p[i]``; ``lmin[i]`` symmetrically holds
-    the rightmost position of the smallest value not below ``p[i]``.  A 0
-    entry means no qualifying position exists.
-
-    Positions are deleted from a value-sorted doubly linked list in
-    decreasing position order; the live neighbor at deletion time is
-    exactly the wanted position.
-    """
+def _tight_lower(p: Sequence[int]) -> list[int]:
+    # Entry i is the 1-based position, within p[:i], of the largest value
+    # not exceeding p[i] (the rightmost one on ties), or 0.  Positions are
+    # deleted from a value-sorted doubly linked list in decreasing position
+    # order; the live predecessor at deletion time is the wanted position.
     m = len(p)
-    if m == 0:
-        raise ValueError("pattern must be non-empty")
-    lmax = [0] * m
-    lmin = [0] * m
-
+    lower = [0] * m
     order = sorted(range(m), key=lambda k: (p[k], k))
     rank = [0] * m
     for r, k in enumerate(order):
@@ -96,28 +85,27 @@ def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
         r = rank[i]
         pr, nx = prev_rank[r], next_rank[r]
         if pr >= 0:
-            lmax[i] = order[pr] + 1
+            lower[i] = order[pr] + 1
             next_rank[pr] = nx
         if nx < m:
             prev_rank[nx] = pr
+    return lower
 
-    # Ties must again resolve to the rightmost position, which for the
-    # successor side requires the reversed position tiebreak.
-    order = sorted(range(m), key=lambda k: (p[k], -k))
-    for r, k in enumerate(order):
-        rank[k] = r
-    prev_rank = list(range(-1, m - 1))
-    next_rank = list(range(1, m + 1))
-    for i in range(m - 1, -1, -1):
-        r = rank[i]
-        pr, nx = prev_rank[r], next_rank[r]
-        if nx < m:
-            lmin[i] = order[nx] + 1
-            prev_rank[nx] = pr
-        if pr >= 0:
-            next_rank[pr] = nx
 
-    return lmax, lmin
+def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Compute the tight-predecessor arrays of ``p`` in O(m log m).
+
+    ``lmax[i]`` is the rightmost position j < i+1 (1-based) whose value is
+    the largest one not exceeding ``p[i]``; ``lmin[i]`` symmetrically holds
+    the rightmost position of the smallest value not below ``p[i]``.  A 0
+    entry means no qualifying position exists.
+
+    ``lmin`` of ``p`` is ``lmax`` of the negated pattern, ties again going
+    to the rightmost position, so one routine computes both.
+    """
+    if len(p) == 0:
+        raise ValueError("pattern must be non-empty")
+    return _tight_lower(p), _tight_lower([-x for x in p])
 
 
 def _extend(lmax, lmin, window, i, offset):

@@ -678,6 +678,51 @@ class TestGenAndBenchCommands:
         assert parse_dag_file(out).vertex_count == 10
 
 
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [
+        pytest.param(["match-string", "{p}", "{s}", "--stats"], "--out", id="match-string"),
+        pytest.param(["match-tree", "{p}", "{tree}"], "--out", id="match-tree"),
+        pytest.param(["match-dag", "{p}", "{dag}", "--witness"], "--out", id="match-dag"),
+        pytest.param(["build-dasg", "{s}"], "--out", id="build-dasg"),
+        pytest.param(["opsm", "{p}", "{s}"], "--out", id="opsm"),
+        pytest.param(
+            ["gen", "adversarial", "--height", "5"], "--tree-out", id="gen-adversarial"
+        ),
+        pytest.param(
+            ["gen", "random-string", "--length", "30", "--alphabet", "4"],
+            "--out",
+            id="gen-random-string",
+        ),
+        pytest.param(
+            ["gen", "random-tree", "--nodes", "30", "--alphabet", "4"],
+            "--out",
+            id="gen-random-tree",
+        ),
+        pytest.param(
+            ["gen", "random-dag", "--vertices", "12", "--alphabet", "3"],
+            "--out",
+            id="gen-random-dag",
+        ),
+    ],
+)
+def test_out_file_gets_exactly_the_stdout_text(files, tmp_path, capsys, command, out_flag):
+    inputs = {
+        "p": files("p.txt", "1 2\n"),
+        "s": files("s.txt", "5 2 1 4 3 6\n"),
+        "tree": files("tree.txt", "tree 5\n0 1 10\n1 2 20\n1 3 5\n2 4 30\n"),
+        "dag": files("d.txt", dag_file_text(build_dasg((5, 2, 1, 4, 3, 6)))),
+    }
+    argv = [arg.format(**inputs) for arg in command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed
+    out = tmp_path / "out.txt"
+    assert main([*argv, out_flag, str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 class TestExitCodes:
     def test_missing_argument_is_usage_error(self, files, capsys):
         assert main(["match-string", files("p.txt", "1\n")]) == 1
@@ -686,9 +731,17 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
-    def test_stats_with_oracle_is_usage_error(self, files, capsys):
-        args = [files("p.txt", "1\n"), files("t.txt", "1\n"), "--stats", "--oracle"]
-        assert main(["match-string", *args]) == 1
+    @pytest.mark.parametrize(
+        "command, text",
+        [("match-string", "1\n"), ("match-tree", "tree 1\n")],
+        ids=["match-string", "match-tree"],
+    )
+    def test_stats_with_oracle_is_usage_error(self, files, capsys, command, text):
+        args = [files("p.txt", "1\n"), files("t.txt", text), "--stats", "--oracle"]
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --oracle: not allowed with argument --stats\n"
+        )
 
     def test_match_dag_oracle_is_usage_error(self, files, capsys):
         dag_path = files("d.txt", dag_file_text(build_dasg((1, 2))))
