@@ -1,7 +1,8 @@
 """Order-preserving pattern matching on strings, trees, and DAGs.
 
-The pattern is compiled once into PatternTables (tight predecessor and
-successor positions plus the order-preserving border array); the same
+The pattern is compiled once into PatternTables (one transition test
+per automaton state: the offsets of the tight lower and upper bounds and
+the failure target of the order-preserving border array); the same
 tables drive the string matcher, the tree matcher, and the DAG path
 search.  Brute-force counterparts of every matcher live in
 ``oppm.oracles``.
@@ -28,7 +29,6 @@ from .pattern import (
     build_pattern_tables,
     compute_border_array,
     compute_lmax_lmin,
-    extend_isomorphism,
     op_isomorphic,
 )
 from .stringmatch import MatchStats, match_string
@@ -50,7 +50,6 @@ __all__ = [
     "build_tree",
     "compute_border_array",
     "compute_lmax_lmin",
-    "extend_isomorphism",
     "gen_adversarial",
     "gen_random_dag",
     "gen_random_string",

@@ -13,6 +13,7 @@ validation error.
 """
 
 import argparse
+import os
 import re
 import sys
 from itertools import islice
@@ -343,6 +344,10 @@ def _opsm(ns: argparse.Namespace) -> str:
 
 
 def _gen_adversarial(ns: argparse.Namespace) -> str:
+    if None not in (ns.output, ns.pattern_out) and (
+        os.path.realpath(ns.output) == os.path.realpath(ns.pattern_out)
+    ):
+        raise UsageError("--tree-out and --pattern-out name the same file")
     h = ns.height
     m = ns.pattern_length if ns.pattern_length is not None else h - 2
     try:

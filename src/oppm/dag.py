@@ -32,7 +32,6 @@ class DagValidationError(ValueError):
 class TextDag:
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]  # (source, label, target), as given
-    topo_order: tuple[int, ...]
     # Search tables derived by build_dag, left out of ==, hash and repr:
     # out[u] is u's out-edges, the very tuples of ``edges``, sorted by
     # (target, label); longest[u] is the edge count of the longest path
@@ -97,7 +96,7 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
         for _, _, v in out[u]:
             if longest[v] >= longest[u]:
                 longest[u] = longest[v] + 1
-    return TextDag(n, tuple(edges), tuple(order), out, longest)
+    return TextDag(n, tuple(edges), out, longest)
 
 
 def build_dasg(t: Sequence[int]) -> TextDag:

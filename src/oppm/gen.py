@@ -26,7 +26,7 @@ class AdversarialInstance:
 def gen_adversarial(h: int, m: int) -> AdversarialInstance:
     """Build the height-h adversarial tree and the pattern (2, ..., m+1).
 
-    Node ids are heap-ordered (children of k are 2k+1 and 2k+2).  The edge
+    Node ids are heap-ordered (node k's child ids are 2k+1 and 2k+2).  The edge
     into a node at depth d is labeled d+1 for d <= h-2, then 0 (left) or
     1 (right) at depth h-1, then 0 at the leaves.  N = 2^(h+1) - 1.
     """
@@ -41,7 +41,7 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
         if d <= h - 2:
             lab = d + 1
         elif d == h - 1:
-            lab = (child - 1) % 2  # odd ids are left children
+            lab = (child - 1) % 2  # an odd id is a left child
         else:
             lab = 0
         edges.append(((child - 1) // 2, child, lab))

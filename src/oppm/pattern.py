@@ -2,67 +2,41 @@
 
 A pattern is a sequence of 64-bit signed integers.  Two equal-length
 sequences are order-isomorphic when all pairwise comparisons agree, i.e.
-``x[i] <= x[j]`` exactly when ``y[i] <= y[j]``.  A compiled pattern holds
-three arrays that together realize a Morris-Pratt style automaton for this
-relation:
+``x[i] <= x[j]`` exactly when ``y[i] <= y[j]``.  A compiled pattern drives
+a Morris-Pratt style automaton for this relation, whose state q is the
+length of the matched prefix.  It holds one tuple per state,
+``steps[q] = (oa, ob, f)``, and the string, tree and DAG matchers read
+nothing else:
 
-* ``lmax[k]`` / ``lmin[k]`` point at the previous character that most
-  tightly bounds character k+1 from below / above.  They reduce the test
-  "does one more character keep the window order-isomorphic" to two
-  comparisons.
-* ``border[k]`` is the length of the longest proper prefix of the length
-  k+1 prefix that is order-isomorphic to a suffix of it; it plays the role
-  of the classic failure function.
-
-Index convention: the arrays are ordinary 0-based Python tuples, entry k
-describing the prefix of length k+1, but the *entries* of ``lmax`` and
-``lmin`` are 1-based character positions where 0 means "no such
-character".
-
-The string, tree and DAG matchers read, instead of these arrays, the step
-table derived from them: ``steps[q] = (oa, ob, f)`` for automaton state q
-(the matched length), one tuple per transition test.
-
-* ``oa = lmax[q] - 1 - q`` and ``ob = lmin[q] - 1 - q``, or None where
-  the bound is absent, are offsets relative to the position of the new
-  character.  With the new character c at index j of the text, the
-  transition test is
+* ``oa`` / ``ob`` point at the earlier pattern character that most
+  tightly bounds character q from below / above (None where there is
+  none), as an offset relative to the new character.  With the new
+  character c at index j of the text, one more character keeps the
+  window order-isomorphic exactly when
   ``(oa is None or t[j + oa] < c) == (ob is None or c < t[j + ob])``.
   A present offset lies in [-q, -1], so ``j + oa`` is at least the
   window's start ``j - q >= 0`` and never wraps around to the end.
-* ``f = border[q - 1]`` (0 for q = 0) is the failure target.
+* ``f = border[q - 1]`` (0 for q = 0) is the failure target, where
+  ``border[k]`` is the length of the longest proper prefix of the length
+  k+1 prefix that is order-isomorphic to a suffix of it.
+
+The bounds come from ``compute_lmax_lmin`` as 1-based positions (0 for
+none); ``oa = lmax[q] - 1 - q``.  The border array is computed by the
+same loop and the same test as ``match_string``, run on the pattern
+itself.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class PatternTables:
-    """Immutable compiled form of a pattern.
-
-    ``steps`` is derived from the other fields on construction and left
-    out of ``__init__``, ``==``, ``hash`` and ``repr``.
-    """
+    """Immutable compiled form of a pattern."""
 
     values: tuple[int, ...]
-    lmax: tuple[int, ...]
-    lmin: tuple[int, ...]
     border: tuple[int, ...]
-    steps: tuple[tuple[int | None, int | None, int], ...] = field(
-        init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        steps = tuple(
-            (
-                a - 1 - q if a else None,
-                b - 1 - q if b else None,
-                self.border[q - 1] if q else 0,
-            )
-            for q, (a, b) in enumerate(zip(self.lmax, self.lmin))
-        )
-        object.__setattr__(self, "steps", steps)
+    steps: tuple[tuple[int | None, int | None, int], ...]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -108,29 +82,14 @@ def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
     return _tight_lower(p), _tight_lower([-x for x in p])
 
 
-def _extend(lmax, lmin, window, i, offset):
-    # Window character k (1-based) lives at window[offset + k - 1]; the new
-    # character is window[offset + i].  An absent bound counts as satisfied.
-    a = lmax[i]
-    b = lmin[i]
-    c = window[offset + i]
-    alpha = a == 0 or window[offset + a - 1] < c
-    beta = b == 0 or c < window[offset + b - 1]
-    return alpha == beta
-
-
-def extend_isomorphism(
-    tables: PatternTables, window: Sequence[int], i: int, offset: int = 0
-) -> bool:
-    """Decide in O(1) whether a matched prefix of length ``i`` extends.
-
-    The caller guarantees that the pattern prefix of length ``i`` is
-    order-isomorphic to the window's first ``i`` characters, where window
-    character k is ``window[offset + k - 1]``.  Returns True iff the
-    prefix of length ``i + 1`` is order-isomorphic to the first ``i + 1``
-    window characters.
-    """
-    return _extend(tables.lmax, tables.lmin, window, i, offset)
+def _offsets(
+    lmax: Sequence[int], lmin: Sequence[int]
+) -> list[tuple[int | None, int | None]]:
+    # 1-based bound positions to offsets from the new character at index q
+    return [
+        (a - 1 - q if a else None, b - 1 - q if b else None)
+        for q, (a, b) in enumerate(zip(lmax, lmin))
+    ]
 
 
 def op_isomorphic(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -140,8 +99,11 @@ def op_isomorphic(x: Sequence[int], y: Sequence[int]) -> bool:
         return False
     if len(x) == 0:
         return True
-    lmax, lmin = compute_lmax_lmin(x)
-    return all(_extend(lmax, lmin, y, i, 0) for i in range(len(x)))
+    offsets = _offsets(*compute_lmax_lmin(x))
+    return all(
+        (oa is None or y[j + oa] < c) == (ob is None or c < y[j + ob])
+        for j, ((oa, ob), c) in enumerate(zip(offsets, y))
+    )
 
 
 def compute_border_array(
@@ -151,19 +113,22 @@ def compute_border_array(
 
     ``border[i]`` (for the prefix of length i+1) is the largest j < i+1
     such that the first j characters are order-isomorphic to the last j
-    characters of that prefix; ``border[0]`` is 0.  Uses the self-matching
-    failure-function recurrence over the O(1) extension test.
+    characters of that prefix; ``border[0]`` is 0.  The automaton matches
+    ``p[1:]`` against ``p`` itself, reading each state's failure target
+    from the entries already filled in.
     """
-    m = len(p)
-    border = [0] * m
-    for i in range(2, m + 1):
-        k = border[i - 2]
+    offsets = _offsets(lmax, lmin)
+    border = [0] * len(p)
+    q = 0
+    for j in range(1, len(p)):
+        c = p[j]
         while True:
-            if _extend(lmax, lmin, p, k, i - k - 1):
-                border[i - 1] = k + 1
+            oa, ob = offsets[q]
+            if (oa is None or p[j + oa] < c) == (ob is None or c < p[j + ob]):
                 break
-            # k == 0 cannot fail: both bound positions are absent there.
-            k = border[k - 1]
+            q = border[q - 1]  # q = 0 always passes: both bounds are absent
+        q += 1
+        border[j] = q
     return border
 
 
@@ -171,4 +136,7 @@ def build_pattern_tables(p: Sequence[int]) -> PatternTables:
     """Compile a non-empty pattern into its matching tables."""
     lmax, lmin = compute_lmax_lmin(p)
     border = compute_border_array(p, lmax, lmin)
-    return PatternTables(tuple(p), tuple(lmax), tuple(lmin), tuple(border))
+    steps = tuple(
+        (oa, ob, f) for (oa, ob), f in zip(_offsets(lmax, lmin), [0, *border])
+    )
+    return PatternTables(tuple(p), tuple(border), steps)

@@ -12,7 +12,6 @@ those once.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
@@ -38,22 +37,13 @@ class TextTree:
     max_depth: int
     preorder: tuple[int, ...]  # siblings in input order
 
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's children in input order, derived on first access."""
-        kids: list[list[int]] = [[] for _ in range(self.node_count)]
-        parent = self.parent
-        for v in islice(self.preorder, 1, None):
-            kids[parent[v]].append(v)
-        return tuple(map(tuple, kids))
-
 
 def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     """Build and validate a TextTree from (parent, child, label) triples.
 
     The node count is one more than the number of edges; ids must cover
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
-    offending node on duplicate children, out-of-range ids, or nodes not
+    offending node on a duplicate child, out-of-range ids, or nodes not
     reachable from the root (which covers both disconnection and cycles);
     for an unreachable node the offending edge is the one into it.  When
     an edge list has several faults, the one of the earliest edge wins.
@@ -80,7 +70,7 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
         after[v] = first[u]
         first[u] = v
 
-    # descend along first children; a sibling still to visit waits on the stack
+    # descend to each node's first child; a sibling still to visit waits on the stack
     preorder = [0]
     stack = [first[0]]
     while stack:

@@ -8,7 +8,7 @@ the path labels: they sit in one array indexed by depth, and when a node
 is reached, the last label written at each shallower depth is that of
 its own ancestor, so any window ending at the node is read in O(1).
 Each node keeps the state reached on arrival (the accepting state is
-replaced by its failure target) for its children to start from.
+replaced by its failure target) for each of its child edges to start from.
 
 With pruning enabled, a child edge is abandoned, chain and descent both,
 as soon as the parent's subtree is too shallow for the current candidate

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import oppm
 from oppm.cli import (
     ParseError,
     build_parser,
@@ -648,6 +649,19 @@ class TestGenAndBenchCommands:
         assert tree.node_count == 63
         assert parse_pattern_file(pattern_out) == (2, 3, 4)
 
+    def test_gen_adversarial_refuses_one_file_for_both_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to("f")
+        args = ["gen", "adversarial", "--height", "4", "--tree-out", "f"]
+        for same in ("f", "./f", str(tmp_path / "f"), "link"):
+            assert main([*args, "--pattern-out", same]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: --tree-out and --pattern-out name the same file\n"
+            )
+        assert not (tmp_path / "f").exists()
+
     def test_gen_adversarial_rejects_bad_params(self, capsys):
         assert main(["gen", "adversarial", "--height", "2"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -839,3 +853,11 @@ def test_readme_synopsis_matches_parser():
             names.append(word)
         documented.add(tuple(names))
     assert documented == _command_paths(build_parser())
+
+
+def test_readme_names_every_export():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## What is inside\n(.*?)^## ", readme, re.S | re.M).group(1)
+    # the name a code span starts with: `PatternTables.steps` names PatternTables
+    named = set(re.findall(r"`([A-Za-z_]\w*)", section))
+    assert set(oppm.__all__) - named == set()

@@ -12,10 +12,8 @@ from oppm.pattern import (
     build_pattern_tables,
     compute_border_array,
     compute_lmax_lmin,
-    extend_isomorphism,
     op_isomorphic,
 )
-from oppm.stringmatch import match_string
 
 int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 wide_patterns = st.lists(int64, min_size=1, max_size=10)
@@ -72,6 +70,11 @@ class TestComputeBorderArray:
         p = (3, 5, 8, 13, 21)
         assert compute_border_array(p, *compute_lmax_lmin(p)) == [0, 1, 2, 3, 4]
 
+    def test_window_inside_larger_text(self):
+        # the last four characters, a window inside p, repeat the first four
+        p = (22, 41, 35, 37, 18, 48, 29, 42)
+        assert compute_border_array(p, *compute_lmax_lmin(p)) == [0, 1, 1, 2, 1, 2, 3, 4]
+
     @given(any_pattern)
     def test_matches_brute_force(self, p):
         assert compute_border_array(p, *compute_lmax_lmin(p)) == naive_border(p)
@@ -86,11 +89,12 @@ class TestComputeBorderArray:
 class TestTableInvariants:
     @given(any_pattern)
     def test_entries_point_strictly_left(self, p):
-        tables = build_pattern_tables(p)
+        lmax, lmin = compute_lmax_lmin(p)
+        border = build_pattern_tables(p).border
         for i in range(len(p)):
-            assert 0 <= tables.lmax[i] <= i
-            assert 0 <= tables.lmin[i] <= i
-            assert 0 <= tables.border[i] <= i
+            assert 0 <= lmax[i] <= i
+            assert 0 <= lmin[i] <= i
+            assert 0 <= border[i] <= i
 
     @given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=10))
     def test_monotone_transform_leaves_tables_unchanged(self, p):
@@ -100,18 +104,17 @@ class TestTableInvariants:
 
 
 def check_step_table(p):
+    """Check every step against the brute-force bounds and border array."""
     tables = build_pattern_tables(p)
+    lmax, lmin = naive_lmax_lmin(p)
+    border = naive_border(p)
+    assert tables.values == tuple(p) and tables.border == tuple(border)
     assert len(tables.steps) == len(p)
     for q, (oa, ob, f) in enumerate(tables.steps):
-        a, b = tables.lmax[q], tables.lmin[q]
-        assert oa == (a - 1 - q if a else None)
-        assert ob == (b - 1 - q if b else None)
-        assert f == (tables.border[q - 1] if q else 0)
+        assert oa == (lmax[q] - 1 - q if lmax[q] else None)
+        assert ob == (lmin[q] - 1 - q if lmin[q] else None)
+        assert f == (border[q - 1] if q else 0)
         assert all(-q <= o <= -1 for o in (oa, ob) if o is not None)
-    by_hand = PatternTables(tables.values, tables.lmax, tables.lmin, tables.border)
-    assert by_hand == tables and by_hand.steps == tables.steps
-    t = [*p, *reversed(p), *p]
-    assert match_string(by_hand, t) == match_string(tables, t)
 
 
 class TestStepTable:
@@ -128,43 +131,14 @@ class TestStepTable:
         tables = build_pattern_tables((22, 41, 35, 37))
         assert tables.steps == ((None, None, 0), (-1, None, 0), (-2, -1, 1), (-1, -2, 1))
 
-    def test_derived_not_constructed_and_left_out_of_hash_and_repr(self):
+    def test_fields_equality_hash_and_repr(self):
         tables = build_pattern_tables((22, 41, 35, 37))
-        fields = (tables.values, tables.lmax, tables.lmin, tables.border)
-        with pytest.raises(TypeError):
-            PatternTables(*fields, tables.steps)
-        assert hash(PatternTables(*fields)) == hash(tables)
+        by_hand = PatternTables(tables.values, tables.border, tables.steps)
+        assert by_hand == tables and hash(by_hand) == hash(tables)
         assert repr(tables) == (
-            "PatternTables(values=(22, 41, 35, 37), lmax=(0, 1, 1, 3), "
-            "lmin=(0, 0, 2, 2), border=(0, 1, 1, 2))"
+            "PatternTables(values=(22, 41, 35, 37), border=(0, 1, 1, 2), "
+            "steps=((None, None, 0), (-1, None, 0), (-2, -1, 1), (-1, -2, 1)))"
         )
-
-
-class TestExtendIsomorphism:
-    def test_full_window_of_worked_example(self):
-        tables = build_pattern_tables((22, 41, 35, 37))
-        y = (18, 48, 29, 42)
-        assert all(extend_isomorphism(tables, y, i) for i in range(4))
-
-    def test_first_character_always_extends(self):
-        tables = build_pattern_tables((7, 3, 5))
-        assert extend_isomorphism(tables, (1000,), 0)
-
-    def test_equal_pair_does_not_extend_increasing_pattern(self):
-        tables = build_pattern_tables((1, 2))
-        assert not extend_isomorphism(tables, (2, 2), 1)
-
-    def test_offset_addresses_window_inside_larger_text(self):
-        tables = build_pattern_tables((22, 41, 35, 37))
-        t = (63, 18, 48, 29, 42, 56, 25, 51)
-        assert all(extend_isomorphism(tables, t, i, offset=1) for i in range(4))
-
-    @given(equal_length_pair())
-    def test_stepwise_extension_equals_pairwise_definition(self, pair):
-        x, y = pair
-        tables = build_pattern_tables(x)
-        stepwise = all(extend_isomorphism(tables, y, i) for i in range(len(x)))
-        assert stepwise == naive_isomorphic(x, y)
 
 
 class TestOpIsomorphic:
@@ -174,6 +148,12 @@ class TestOpIsomorphic:
     def test_tie_structure_must_agree(self):
         assert op_isomorphic((1, 1, 2), (3, 3, 5))
         assert not op_isomorphic((1, 1, 2), (3, 4, 5))
+
+    def test_single_characters_agree(self):
+        assert op_isomorphic((7,), (1000,))
+
+    def test_equal_pair_differs_from_increasing_pattern(self):
+        assert not op_isomorphic((1, 2), (2, 2))
 
     def test_unequal_lengths_differ(self):
         assert not op_isomorphic((1, 2), (1, 2, 3))

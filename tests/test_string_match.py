@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oppm.oracles import naive_match_string
-from oppm.pattern import build_pattern_tables
+from oppm.pattern import build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import MatchStats, match_string
 
 
@@ -14,7 +14,8 @@ def reference_match_string(tables, t):
     """The automaton loop on lmax / lmin / border, with an explicit goto
     count: the reference for match_string's step-table loop."""
     m = len(tables.values)
-    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
+    lmax, lmin = compute_lmax_lmin(tables.values)
+    border = tables.border
     out = []
     goto = fail = 0
     q = 0

@@ -79,18 +79,27 @@ def tree_edges(tree):
     return [(tree.parent[v], v, tree.edge_label[v]) for v in range(1, tree.node_count)]
 
 
+def children(tree: TextTree) -> list[list[int]]:
+    """Each node's children in input order, read off parent and preorder."""
+    kids: list[list[int]] = [[] for _ in range(tree.node_count)]
+    for v in tree.preorder[1:]:
+        kids[tree.parent[v]].append(v)
+    return kids
+
+
 def compute_subtree_heights(tree: TextTree) -> tuple[int, ...]:
     """Recompute subtree heights with one traversal (children before parents)."""
+    kids = children(tree)
     order = []
     stack = [0]
     while stack:
         u = stack.pop()
         order.append(u)
-        stack.extend(tree.children[u])
+        stack.extend(kids[u])
     height = [0] * tree.node_count
     for u in reversed(order):  # reversed preorder: descendants come first
-        if tree.children[u]:
-            height[u] = 1 + max(height[c] for c in tree.children[u])
+        if kids[u]:
+            height[u] = 1 + max(height[c] for c in kids[u])
     return tuple(height)
 
 
@@ -102,7 +111,7 @@ class TestBuildTree:
         assert tree.depth == (0, 1, 2, 2, 3)
         assert tree.parent == (-1, 0, 1, 1, 2)
         assert tree.edge_label == (0, 10, 20, 5, 30)
-        assert tree.children == ((1,), (2, 3), (4,), (), ())
+        assert tree.preorder == (0, 1, 2, 4, 3)
 
     def test_single_node(self):
         tree = build_tree([])
@@ -133,7 +142,7 @@ class TestBuildTree:
 
     def test_children_preserve_input_order(self):
         tree = build_tree([(0, 2, 1), (0, 1, 1)])
-        assert tree.children[0] == (2, 1)
+        assert tree.preorder == (0, 2, 1)
 
 
 class TestSubtreeHeights:
@@ -160,10 +169,11 @@ class TestInvariants:
     @given(st.integers(1, 80), st.integers(0, 10**6))
     def test_height_recursion_and_depth_bound(self, n, seed):
         tree = gen_random_tree(n, 5, seed)
+        kids = children(tree)
         for u in range(tree.node_count):
             assert tree.subtree_height[u] < tree.node_count
-            if tree.children[u]:
-                best = max(tree.subtree_height[c] for c in tree.children[u])
+            if kids[u]:
+                best = max(tree.subtree_height[c] for c in kids[u])
                 assert tree.subtree_height[u] == best + 1
             else:
                 assert tree.subtree_height[u] == 0
@@ -181,14 +191,16 @@ class TestInvariants:
 def assert_same_as_reference(edges):
     tree = build_tree(edges)
     expected = reference_build_tree(edges)
+    kids = expected.pop("children")
     assert {name: getattr(tree, name) for name in expected} == expected
-    # preorder: each node, then its children's subtrees in input order
+    # preorder: each node, then its children's subtrees in input order;
+    # with parent it fixes the children and their order
     order = []
     stack = [0]
     while stack:
         u = stack.pop()
         order.append(u)
-        stack.extend(reversed(expected["children"][u]))
+        stack.extend(reversed(kids[u]))
     assert tree.preorder == tuple(order)
 
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
 from oppm.oracles import naive_match_tree
-from oppm.pattern import PatternTables, build_pattern_tables
+from oppm.pattern import PatternTables, build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
 from oppm.treematch import TreeMatchReport, match_tree
-from test_tree import permuted_edges, tree_edges
+from test_tree import children, permuted_edges, tree_edges
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -25,12 +25,13 @@ def match_tree_on_path_equals_string(tables: PatternTables, tree: TextTree) -> b
     modes of the tree matcher report exactly the string matcher's
     positions.
     """
+    kids = children(tree)
     labels = []
     u = 0
-    while tree.children[u]:
-        if len(tree.children[u]) > 1:
+    while kids[u]:
+        if len(kids[u]) > 1:
             raise ValueError("tree is not a chain")
-        u = tree.children[u][0]
+        u = kids[u][0]
         labels.append(tree.edge_label[u])
     positions, _ = match_string(tables, labels)
     for flag in (True, False):
@@ -44,8 +45,9 @@ def reference_match_tree(tables, tree, prune):
     """The DFS automaton on lmax / lmin / border: the reference for
     match_tree's step-table loop."""
     m = len(tables.values)
-    lmax, lmin, border = tables.lmax, tables.lmin, tables.border
-    children = tree.children
+    lmax, lmin = compute_lmax_lmin(tables.values)
+    border = tables.border
+    kids = children(tree)
     path = [0] * tree.max_depth
     state = [0] * tree.node_count
     matched = []
@@ -55,11 +57,11 @@ def reference_match_tree(tables, tree, prune):
         frame = frames[-1]
         u = frame[0]
         slot = frame[1]
-        if slot == len(children[u]):
+        if slot == len(kids[u]):
             frames.pop()
             continue
         frame[1] = slot + 1
-        v = children[u][slot]
+        v = kids[u][slot]
         c = tree.edge_label[v]
         d = tree.depth[u]
         q = state[u]
