@@ -106,11 +106,8 @@ class _Input:
         try:
             self.text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the line ends before the bad byte, counted as the reader counts
-            # them: \n, \r\n and a lone \r
-            end = exc.start
-            ends = data.count(b"\n", 0, end) + data.count(b"\r", 0, end)
-            line = 1 + ends - data.count(b"\r\n", 0, end)
+            # the bad byte is on the last line of the valid text before it
+            line = len(_lines(data[: exc.start].decode("utf-8")))
             raise ParseError(path, line, "not valid UTF-8") from None
         self.path = path
         # Flat, so that no list per line lives on for the garbage collector
@@ -315,11 +312,6 @@ def _match_tree(ns: argparse.Namespace) -> str:
 
 
 def _match_dag(ns: argparse.Namespace) -> str:
-    if ns.oracle:
-        raise UsageError(
-            "match-dag has no brute-force oracle; use opsm --oracle for "
-            "subsequence-graph texts"
-        )
     p = _load_pattern(ns.pattern)
     dag = parse_dag_file(ns.dag)
     witness = match_dag(build_pattern_tables(p), dag)
@@ -343,6 +335,14 @@ def _opsm(ns: argparse.Namespace) -> str:
     return "yes\n" if found else "no\n"
 
 
+def _generate(gen, *args):
+    """``gen(*args)``, with its ValueError for a bad argument as a UsageError."""
+    try:
+        return gen(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _gen_adversarial(ns: argparse.Namespace) -> str:
     if None not in (ns.output, ns.pattern_out) and (
         os.path.realpath(ns.output) == os.path.realpath(ns.pattern_out)
@@ -350,39 +350,24 @@ def _gen_adversarial(ns: argparse.Namespace) -> str:
         raise UsageError("--tree-out and --pattern-out name the same file")
     h = ns.height
     m = ns.pattern_length if ns.pattern_length is not None else h - 2
-    try:
-        inst = gen_adversarial(h, m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    inst = _generate(gen_adversarial, h, m)
     if ns.pattern_out is not None:
         _emit(pattern_file_text(inst.pattern), ns.pattern_out)
     return tree_file_text(inst.tree)
 
 
 def _gen_random_string(ns: argparse.Namespace) -> str:
-    if ns.length < 0:
-        raise UsageError("length cannot be negative")
-    if ns.alphabet < 1:
-        raise UsageError("alphabet size must be at least 1")
-    return pattern_file_text(gen_random_string(ns.length, ns.alphabet, ns.seed))
+    s = _generate(gen_random_string, ns.length, ns.alphabet, ns.seed)
+    return pattern_file_text(s)
 
 
 def _gen_random_tree(ns: argparse.Namespace) -> str:
-    if ns.nodes < 1:
-        raise UsageError("node count must be at least 1")
-    if ns.alphabet < 1:
-        raise UsageError("alphabet size must be at least 1")
-    return tree_file_text(gen_random_tree(ns.nodes, ns.alphabet, ns.seed))
+    return tree_file_text(_generate(gen_random_tree, ns.nodes, ns.alphabet, ns.seed))
 
 
 def _gen_random_dag(ns: argparse.Namespace) -> str:
-    if ns.vertices < 1:
-        raise UsageError("vertex count must be at least 1")
-    if not 0.0 <= ns.density <= 1.0:
-        raise UsageError("density must lie in [0, 1]")
-    if ns.alphabet < 1:
-        raise UsageError("alphabet size must be at least 1")
-    return dag_file_text(gen_random_dag(ns.vertices, ns.density, ns.alphabet, ns.seed))
+    dag = _generate(gen_random_dag, ns.vertices, ns.density, ns.alphabet, ns.seed)
+    return dag_file_text(dag)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     md.add_argument("pattern", help="pattern file")
     md.add_argument("dag", help="DAG file")
     md.add_argument("--witness", action="store_true", help="print the witness path")
-    md.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     md.add_argument("--out", dest="output", help="write output to a file")
 
     bd = sub.add_parser("build-dasg", help="build the subsequence graph of a string")

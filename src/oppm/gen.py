@@ -53,12 +53,20 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
 
 def gen_random_string(n: int, sigma: int, seed: int) -> tuple[int, ...]:
     """Uniform characters from 1..sigma; deterministic for a fixed seed."""
+    if n < 0:
+        raise ValueError("length cannot be negative")
+    if sigma < 1:
+        raise ValueError("alphabet size must be at least 1")
     rng = random.Random(seed)
     return tuple(rng.randint(1, sigma) for _ in range(n))
 
 
 def gen_random_tree(n: int, sigma: int, seed: int) -> TextTree:
     """Attach node i to a uniformly chosen earlier node; labels 1..sigma."""
+    if n < 1:
+        raise ValueError("node count must be at least 1")
+    if sigma < 1:
+        raise ValueError("alphabet size must be at least 1")
     rng = random.Random(seed)
     edges = [
         (rng.randrange(i), i, rng.randint(1, sigma)) for i in range(1, n)
@@ -68,6 +76,12 @@ def gen_random_tree(n: int, sigma: int, seed: int) -> TextTree:
 
 def gen_random_dag(v: int, density: float, sigma: int, seed: int) -> TextDag:
     """Independent forward edges i -> j (i < j), acyclic by construction."""
+    if v < 1:
+        raise ValueError("vertex count must be at least 1")
+    if not 0.0 <= density <= 1.0:  # NaN fails both comparisons
+        raise ValueError("density must lie in [0, 1]")
+    if sigma < 1:
+        raise ValueError("alphabet size must be at least 1")
     rng = random.Random(seed)
     edges = []
     for i in range(v):

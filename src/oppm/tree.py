@@ -13,7 +13,6 @@ those once.
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 
 
 class TreeValidationError(ValueError):
@@ -49,24 +48,25 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     an edge list has several faults, the one of the earliest edge wins.
     """
     n = len(edges) + 1
-    us = list(map(itemgetter(0), edges))
-    vs = list(map(itemgetter(1), edges))
-    # check the id columns in bulk; only a failed check walks the edges
-    if edges and (
-        min(us) < 0 or max(us) >= n or min(vs) < 1 or max(vs) >= n
-        or len(set(vs)) < n - 1
-    ):
-        raise _first_fault(edges)
-
     parent = [-1] * n
     label = [0] * n
+    for i, (u, v, lab) in enumerate(edges):
+        if not 0 <= u < n:
+            raise TreeValidationError(f"unknown parent id {u}", i)
+        if not 0 <= v < n:
+            raise TreeValidationError(f"unknown child id {v}", i)
+        if v == 0:
+            raise TreeValidationError("node 0 is the root and cannot be a child", i)
+        if parent[v] >= 0:
+            raise TreeValidationError(f"duplicate child {v}", i)
+        parent[v] = u
+        label[v] = lab
+
     # first[u] is u's first child and after[v] the sibling that follows v,
     # both in input order; 0, the root, is nobody's child and means "none"
     first = [0] * n
     after = [0] * n
-    for u, v, lab in reversed(edges):
-        parent[v] = u
-        label[v] = lab
+    for u, v, _ in reversed(edges):
         after[v] = first[u]
         first[u] = v
 
@@ -83,8 +83,9 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
     if len(preorder) != n:
         reached = set(preorder)
         missing = min(v for v in range(n) if v not in reached)
+        edge = next(i for i, (_, v, _) in enumerate(edges) if v == missing)
         raise TreeValidationError(
-            f"node {missing} is not reachable from the root", vs.index(missing)
+            f"node {missing} is not reachable from the root", edge
         )
 
     depth = [0] * n
@@ -106,21 +107,3 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
         max_depth=max(depth),
         preorder=tuple(preorder),
     )
-
-
-def _first_fault(edges: list[tuple[int, int, int]]) -> TreeValidationError:
-    """Walk the edges in input order to the first one that breaks a range
-    or duplicate rule; the caller has seen that one does."""
-    n = len(edges) + 1
-    seen = [False] * n
-    for i, (u, v, _) in enumerate(edges):
-        if not 0 <= u < n:
-            return TreeValidationError(f"unknown parent id {u}", i)
-        if not 0 <= v < n:
-            return TreeValidationError(f"unknown child id {v}", i)
-        if v == 0:
-            return TreeValidationError("node 0 is the root and cannot be a child", i)
-        if seen[v]:
-            return TreeValidationError(f"duplicate child {v}", i)
-        seen[v] = True
-    raise AssertionError("no faulty edge")

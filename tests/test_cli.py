@@ -691,6 +691,42 @@ class TestGenAndBenchCommands:
         assert main(args) == 0
         assert parse_dag_file(out).vertex_count == 10
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["random-string", "--length", "-1", "--alphabet", "3"],
+             "length cannot be negative"),
+            (["random-string", "--length", "4", "--alphabet", "0"],
+             "alphabet size must be at least 1"),
+            (["random-tree", "--nodes", "0", "--alphabet", "3"],
+             "node count must be at least 1"),
+            (["random-tree", "--nodes", "4", "--alphabet", "0"],
+             "alphabet size must be at least 1"),
+            (["random-dag", "--vertices", "0", "--alphabet", "3"],
+             "vertex count must be at least 1"),
+            (["random-dag", "--vertices", "5", "--density", "2", "--alphabet", "3"],
+             "density must lie in [0, 1]"),
+            (["random-dag", "--vertices", "5", "--alphabet", "0"],
+             "alphabet size must be at least 1"),
+        ],
+        ids=[
+            "string-length",
+            "string-alphabet",
+            "tree-nodes",
+            "tree-alphabet",
+            "dag-vertices",
+            "dag-density",
+            "dag-alphabet",
+        ],
+    )
+    def test_gen_random_rejects_bad_params(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out.txt"
+        assert main(["gen", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command, out_flag",
@@ -760,6 +796,9 @@ class TestExitCodes:
     def test_match_dag_oracle_is_usage_error(self, files, capsys):
         dag_path = files("d.txt", dag_file_text(build_dasg((1, 2))))
         assert main(["match-dag", files("p.txt", "1\n"), dag_path, "--oracle"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: unrecognized arguments: --oracle\n"
+        )
 
     def test_opsm_oracle_size_guard(self, files, capsys):
         long_text = " ".join(str(v) for v in range(30)) + "\n"

@@ -120,3 +120,43 @@ class TestRandomGenerators:
 
     def test_dag_deterministic_for_seed(self):
         assert gen_random_dag(12, 0.4, 3, 5) == gen_random_dag(12, 0.4, 3, 5)
+
+    @pytest.mark.parametrize(
+        "gen, args, message",
+        [
+            (gen_random_string, (-1, 5, 0), "length cannot be negative"),
+            (gen_random_string, (-1, 0, 0), "length cannot be negative"),
+            (gen_random_string, (0, 0, 0), "alphabet size must be at least 1"),
+            (gen_random_string, (5, -2, 0), "alphabet size must be at least 1"),
+            (gen_random_tree, (0, 5, 0), "node count must be at least 1"),
+            (gen_random_tree, (0, 0, 0), "node count must be at least 1"),
+            (gen_random_tree, (1, 0, 0), "alphabet size must be at least 1"),
+            (gen_random_dag, (0, 0.5, 5, 0), "vertex count must be at least 1"),
+            (gen_random_dag, (0, 2.0, 0, 0), "vertex count must be at least 1"),
+            (gen_random_dag, (3, 1.5, 5, 0), "density must lie in [0, 1]"),
+            (gen_random_dag, (3, -0.1, 5, 0), "density must lie in [0, 1]"),
+            (gen_random_dag, (3, float("nan"), 5, 0), "density must lie in [0, 1]"),
+            (gen_random_dag, (3, 1.5, 0, 0), "density must lie in [0, 1]"),
+            (gen_random_dag, (3, 1.0, 0, 0), "alphabet size must be at least 1"),
+        ],
+        ids=[
+            "string-negative-length",
+            "string-length-before-alphabet",
+            "string-empty-zero-alphabet",
+            "string-negative-alphabet",
+            "tree-no-nodes",
+            "tree-nodes-before-alphabet",
+            "tree-zero-alphabet",
+            "dag-no-vertices",
+            "dag-vertices-before-density",
+            "dag-density-above-one",
+            "dag-density-below-zero",
+            "dag-density-nan",
+            "dag-density-before-alphabet",
+            "dag-zero-alphabet",
+        ],
+    )
+    def test_bad_argument_raises_with_message(self, gen, args, message):
+        with pytest.raises(ValueError) as info:
+            gen(*args)
+        assert str(info.value) == message
