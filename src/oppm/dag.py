@@ -9,10 +9,10 @@ along the whole path, not just its length, so merging such states is
 unsound.
 """
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, lt
 
 from .pattern import PatternTables, build_pattern_tables
 
@@ -46,57 +46,74 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
     The triples are kept as given; parallel edges are allowed.  Raises
     DagValidationError on an out-of-range vertex id or on a cycle, naming
     the first self-loop if there is one, else the first edge in input
-    order of one cycle.
+    order of one cycle.  When every edge runs forward (source < target),
+    as in every subsequence graph and every gen_random_dag output, the
+    vertex ids are already a topological order and Kahn's pass is skipped.
     """
     n = vertex_count
-    indeg = [0] * n
+    # first allocation: an unallocatable n raises MemoryError here at once,
+    # where building n lists one by one would grow until the process dies
+    longest = [0] * n
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    forward = True
     for e in edges:
         u, _, v = e
-        # edges.index(e) is this edge: an equal earlier one would have raised
-        if not 0 <= u < n:
-            raise DagValidationError(f"unknown source vertex {u}", edges.index(e))
-        if not 0 <= v < n:
-            raise DagValidationError(f"unknown target vertex {v}", edges.index(e))
-        indeg[v] += 1
+        if not 0 <= u < v < n:
+            # edges.index(e) is this edge: an equal earlier one would have raised
+            if not 0 <= u < n:
+                raise DagValidationError(f"unknown source vertex {u}", edges.index(e))
+            if not 0 <= v < n:
+                raise DagValidationError(f"unknown target vertex {v}", edges.index(e))
+            forward = False
         out[u].append(e)
+    order = range(n) if forward else _topological_order(n, edges, out)
+
+    by_target = itemgetter(2, 1)
+    for u in reversed(order):
+        if out[u]:
+            ts = [v for _, _, v in out[u]]
+            # strictly rising targets are already in (target, label) order
+            if not all(map(lt, ts, islice(ts, 1, None))):
+                out[u].sort(key=by_target)
+            longest[u] = max(map(longest.__getitem__, ts)) + 1
+    return TextDag(n, tuple(edges), out, longest)
+
+
+def _topological_order(
+    n: int, edges: Sequence[tuple[int, int, int]], out: list[list[tuple[int, int, int]]]
+) -> list[int]:
+    """Kahn's order of the vertices, or DagValidationError naming a cycle."""
+    indeg = [0] * n
+    for _, _, v in edges:
+        indeg[v] += 1
     order = [u for u in range(n) if indeg[u] == 0]
     for u in order:
         for _, _, v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
-    if len(order) != n:
-        # cycles are looked for only here, off the path of a valid graph
-        i = next((i for i, (u, _, v) in enumerate(edges) if u == v), None)
-        if i is not None:
-            u = edges[i][0]
-            raise DagValidationError(f"cycle detected: self-loop at vertex {u}", i)
-        # every vertex left out of the order has an in-edge from another one
-        # left out, so walking back along such edges must close a cycle
-        left = set(range(n)) - set(order)
-        into: dict[int, int] = {}
-        for i, (u, _, v) in enumerate(edges):
-            if u in left and v in left:
-                into.setdefault(v, i)
-        walk: dict[int, int] = {}  # vertex -> its position in the walk
-        u = min(left)
-        while u not in walk:
-            walk[u] = len(walk)
-            u = edges[into[u]][0]
-        # u is met twice: the walk from its first visit on went round a cycle
-        i = min(into[w] for w in list(walk)[walk[u]:])
-        u, _, v = edges[i]
-        raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
-
-    longest = [0] * n
-    by_target = itemgetter(2, 1)
-    for u in reversed(order):
-        out[u].sort(key=by_target)
-        for _, _, v in out[u]:
-            if longest[v] >= longest[u]:
-                longest[u] = longest[v] + 1
-    return TextDag(n, tuple(edges), out, longest)
+    if len(order) == n:
+        return order
+    i = next((i for i, (u, _, v) in enumerate(edges) if u == v), None)
+    if i is not None:
+        u = edges[i][0]
+        raise DagValidationError(f"cycle detected: self-loop at vertex {u}", i)
+    # every vertex left out of the order has an in-edge from another one
+    # left out, so walking back along such edges must close a cycle
+    left = set(range(n)) - set(order)
+    into: dict[int, int] = {}
+    for i, (u, _, v) in enumerate(edges):
+        if u in left and v in left:
+            into.setdefault(v, i)
+    walk: dict[int, int] = {}  # vertex -> its position in the walk
+    u = min(left)
+    while u not in walk:
+        walk[u] = len(walk)
+        u = edges[into[u]][0]
+    # u is met twice: the walk from its first visit on went round a cycle
+    i = min(into[w] for w in list(walk)[walk[u]:])
+    u, _, v = edges[i]
+    raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
 
 
 def build_dasg(t: Sequence[int]) -> TextDag:
@@ -138,11 +155,15 @@ def match_dag(tables: PatternTables, dag: TextDag) -> list[int] | None:
     return witness
 
 
-def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] | None, int]:
+def match_dag_explored(
+    tables: PatternTables, dag: TextDag, *, starts: Iterable[int] | None = None
+) -> tuple[list[int] | None, int]:
     """Like match_dag, also returning the number of edge extensions attempted.
 
-    The count is the cost measure used to exhibit exponential growth on
-    subsequence-graph inputs.
+    ``starts`` are the vertex ids a path may begin at, tried in the given
+    order; by default every vertex, in ascending order.  The count is the
+    cost measure used to exhibit exponential growth on subsequence-graph
+    inputs.
     """
     m = len(tables.values)
     steps = tables.steps
@@ -151,7 +172,7 @@ def match_dag_explored(tables: PatternTables, dag: TextDag) -> tuple[list[int] |
     labels = [0] * m
     verts = [0] * (m + 1)
     explored = 0
-    for s in range(dag.vertex_count):
+    for s in range(dag.vertex_count) if starts is None else starts:
         if longest[s] < m:
             continue
         verts[0] = s
@@ -182,9 +203,14 @@ def opsm(p: Sequence[int], t: Sequence[int]) -> bool:
     """Decide whether some subsequence of ``t`` op-matches ``p``.
 
     Reduction: p op-matches a subsequence of t iff p op-matches a path in
-    the subsequence graph of t.  The empty pattern matches vacuously.
+    the subsequence graph of t.  The search starts at v_0 only: a path from
+    any v_i spells a subsequence of t, and v_0 has a path with the same
+    labels (through first occurrences), so the other starts would only
+    repeat work when there is no match.  The empty pattern matches
+    vacuously.
     """
     if len(p) == 0:
         return True
     tables = build_pattern_tables(p)
-    return match_dag(tables, build_dasg(t)) is not None
+    witness, _ = match_dag_explored(tables, build_dasg(t), starts=(0,))
+    return witness is not None

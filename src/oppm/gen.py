@@ -29,9 +29,13 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
     Node ids are heap-ordered (node k's child ids are 2k+1 and 2k+2).  The edge
     into a node at depth d is labeled d+1 for d <= h-2, then 0 (left) or
     1 (right) at depth h-1, then 0 at the leaves.  N = 2^(h+1) - 1.
+    Heights above 24 are refused before anything is built: memory doubles
+    per level, from about 74 MB at h = 17.
     """
     if h < 3:
         raise ValueError("height must be at least 3")
+    if h > 24:
+        raise ValueError("height must be at most 24")
     if not 1 <= m <= h - 2:
         raise ValueError("pattern length must be between 1 and h - 2")
     n = 2 ** (h + 1) - 1

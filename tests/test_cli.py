@@ -666,6 +666,15 @@ class TestGenAndBenchCommands:
         assert main(["gen", "adversarial", "--height", "2"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("height", ["25", "100000"])
+    def test_gen_adversarial_refuses_height_above_cap(self, tmp_path, capsys, height):
+        out = tmp_path / "a.txt"
+        assert main(["gen", "adversarial", "--height", height, "--tree-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: height must be at most 24\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_gen_random_string_deterministic(self, capsys):
         args = ["gen", "random-string", "--length", "8", "--alphabet", "2", "--seed", "42"]
         assert main(args) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oppm.dag import (
     DagValidationError,
+    TextDag,
     build_dag,
     build_dasg,
     match_dag,
@@ -59,6 +60,112 @@ class TestBuildDag:
         dag = build_dag(4, [(0, 1, 1), (0, 2, 2), (1, 3, 3), (2, 1, 3)])
         assert dag.longest == [2, 1, 1, 0]
         assert all(dag.longest[u] > dag.longest[v] for u, _, v in dag.edges)
+
+
+def reference_build_dag(n, edges):
+    """The build with Kahn's pass for every graph: the reference for
+    build_dag's forward-edge path.  Returns (out, longest)."""
+    indeg = [0] * n
+    out = [[] for _ in range(n)]
+    for i, (u, _, v) in enumerate(edges):
+        if not 0 <= u < n:
+            raise DagValidationError(f"unknown source vertex {u}", i)
+        if not 0 <= v < n:
+            raise DagValidationError(f"unknown target vertex {v}", i)
+        indeg[v] += 1
+        out[u].append(edges[i])
+    order = [u for u in range(n) if indeg[u] == 0]
+    for u in order:
+        for _, _, v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) != n:
+        i = next((i for i, (u, _, v) in enumerate(edges) if u == v), None)
+        if i is not None:
+            raise DagValidationError(f"cycle detected: self-loop at vertex {edges[i][0]}", i)
+        left = set(range(n)) - set(order)
+        into = {}
+        for i, (u, _, v) in enumerate(edges):
+            if u in left and v in left:
+                into.setdefault(v, i)
+        walk = {}
+        u = min(left)
+        while u not in walk:
+            walk[u] = len(walk)
+            u = edges[into[u]][0]
+        i = min(into[w] for w in list(walk)[walk[u]:])
+        u, _, v = edges[i]
+        raise DagValidationError(f"cycle detected through edge {u} -> {v}", i)
+    longest = [0] * n
+    for u in reversed(order):
+        out[u].sort(key=lambda e: (e[2], e[1]))
+        for _, _, v in out[u]:
+            longest[u] = max(longest[u], longest[v] + 1)
+    return out, longest
+
+
+def build_outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except DagValidationError as exc:
+        return str(exc), exc.edge
+
+
+class TestBuildDagAgainstKahn:
+    """build_dag skips Kahn's pass when every edge runs forward; tables,
+    errors and error edges must equal a build that always runs it."""
+
+    @staticmethod
+    def edge_lists(rng):
+        # forward DAGs, with parallel edges; then the same graphs renumbered
+        # (backward edges) and with the edge list shuffled
+        for k in range(1500):
+            n = rng.randint(1, 9)
+            edges = list(gen_random_dag(n, rng.random(), 3, rng.randrange(2**30)).edges)
+            for e in rng.sample(edges, min(len(edges), rng.randint(0, 2))):
+                edges.insert(rng.randint(0, len(edges)), (e[0], rng.randint(1, 3), e[2]))
+            if k % 3:
+                ids = rng.sample(range(n), n)
+                edges = [(ids[u], c, ids[v]) for u, c, v in edges]
+            if k % 3 == 2:
+                rng.shuffle(edges)
+            yield n, edges
+        for _ in range(200):
+            t = [rng.randint(1, 3) for _ in range(rng.randint(0, 10))]
+            yield len(t) + 1, list(build_dasg(t).edges)
+
+    @staticmethod
+    def inject_fault(rng, n, edges):
+        kind = rng.choice(("source", "target", "self-loop", "cycle"))
+        if kind == "source":
+            e = (rng.choice((-1, n, n + 5)), 1, rng.randrange(n))
+        elif kind == "target":
+            e = (rng.randrange(n), 1, rng.choice((-2, n)))
+        elif kind == "self-loop":
+            u = rng.randrange(n)
+            e = (u, 1, u)
+        elif edges:
+            u, _, v = rng.choice(edges)
+            e = (v, 2, u)  # closes a cycle with the chosen edge
+        else:
+            e = (0, 1, 0)
+        edges.insert(rng.randint(0, len(edges)), e)
+
+    def test_tables_and_errors_equal_kahn_build(self):
+        rng = random.Random(1301)
+        faults = 0
+        for n, edges in self.edge_lists(rng):
+            if rng.random() < 0.25:
+                self.inject_fault(rng, n, edges)
+                faults += 1
+            expected = build_outcome(reference_build_dag, n, edges)
+            got = build_outcome(build_dag, n, edges)
+            if isinstance(got, TextDag):
+                assert got.edges == tuple(edges)
+                got = got.out, got.longest
+            assert got == expected
+        assert faults > 300
 
 
 def brute_longest(edges, u):
@@ -236,6 +343,13 @@ class TestMatchDag:
         witness = match_dag(build_pattern_tables((1, 2)), dag)
         assert witness == [1, 2, 3]
 
+    def test_starts_are_tried_in_the_given_order(self):
+        dag = build_dag(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
+        tables = build_pattern_tables((1, 2))
+        assert match_dag_explored(tables, dag, starts=(1, 0))[0] == [1, 2, 3]
+        assert match_dag_explored(tables, dag, starts=(2, 0))[0] == [0, 1, 2]
+        assert match_dag_explored(tables, dag, starts=(2, 3)) == (None, 0)
+
     def test_general_dag_with_parallel_edges(self):
         dag = build_dag(3, [(0, 5, 1), (0, 1, 1), (1, 2, 2), (1, 9, 2)])
         witness = match_dag(build_pattern_tables((1, 2)), dag)
@@ -309,6 +423,8 @@ class TestMatchDag:
             6: 31, 8: 85, 10: 217, 12: 539, 14: 1318, 16: 3202,
             18: 7752, 20: 18740, 22: 45269, 24: 109319, 26: 263951,
         }
+        # opsm's search, from vertex 0 alone, pays about half of that
+        from_source = {24: 57120, 26: 137902}
         for n, count in expected.items():
             t = []
             for k in range(1, n, 2):
@@ -316,6 +432,9 @@ class TestMatchDag:
             p = tuple(range(1, n // 2 + 2))
             dag = build_dasg(t)
             assert match_dag_explored(build_pattern_tables(p), dag) == (None, count)
+            if n in from_source:
+                found = match_dag_explored(build_pattern_tables(p), dag, starts=(0,))
+                assert found == (None, from_source[n])
             witness = [0, *range(1, n, 2)]
             assert match_dag_explored(build_pattern_tables(p[:-1]), dag) == (witness, n - 1)
 
@@ -371,6 +490,23 @@ class TestOpsm:
             m = rng.randint(1, 6)
             p = [rng.randint(1, sigma) for _ in range(m)]
             assert opsm(p, t) == naive_opsm(p, t)
+
+    def test_search_from_source_equals_all_starts_and_oracle(self):
+        # opsm searches from vertex 0 only; on a "yes" instance the all-starts
+        # search finds its witness from vertex 0 too, at the same cost
+        rng = random.Random(1303)
+        yes = 0
+        for _ in range(1500):
+            sigma = rng.choice((2, 3, 6))
+            t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 13))]
+            p = [rng.randint(1, sigma) for _ in range(rng.randint(1, 6))]
+            tables, dag = build_pattern_tables(p), build_dasg(t)
+            witness, explored = match_dag_explored(tables, dag, starts=(0,))
+            assert (witness is not None) == naive_opsm(p, t) == opsm(p, t)
+            if witness is not None:
+                yes += 1
+                assert match_dag_explored(tables, dag) == (witness, explored)
+        assert 300 < yes < 1200
 
     def test_exhaustive_tiny_instances(self):
         for tn in range(0, 5):

@@ -76,6 +76,12 @@ class TestAdversarialFamily:
         with pytest.raises(ValueError):
             gen_adversarial(5, 0)
 
+    @pytest.mark.parametrize("h", [25, 100000])
+    def test_height_above_cap_refused_before_building(self, h):
+        # h = 25 would be 2^26 - 1 nodes; the check runs before any of them
+        with pytest.raises(ValueError, match="^height must be at most 24$"):
+            gen_adversarial(h, h - 2)
+
     def test_counter_separation(self):
         for h in (5, 6, 7):
             m = h - 2
