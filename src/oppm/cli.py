@@ -109,6 +109,7 @@ class _Input:
             # the bad byte is on the last line of the valid text before it
             line = len(_lines(data[: exc.start].decode("utf-8")))
             raise ParseError(path, line, "not valid UTF-8") from None
+        del data  # not kept alive beside the text while the text is split
         self.path = path
         # Flat, so that no list per line lives on for the garbage collector
         # to scan again and again while the parse allocates.  The first
@@ -156,7 +157,10 @@ class _Input:
         ``arity``, every line must hold that many ("expected '{what}'" if not).
 
         All lines are checked at once; only if that fails are they walked
-        one token at a time, to report the first fault in file order."""
+        one token at a time, to report the first fault in file order.  This
+        is the tokens' last reader, so a successful read releases them
+        (``error`` reads only the text): the caller's build then runs
+        without them."""
         first = sum(self.counts[:start])
         counts = self.counts[start:]
         if arity is None or set(counts) <= {arity}:
@@ -166,6 +170,7 @@ class _Input:
                 pass
             else:
                 if not values or INT64_MIN <= min(values) and max(values) <= INT64_MAX:
+                    del self.tokens
                     return values
         values = []
         index = first
@@ -175,6 +180,7 @@ class _Input:
             for tok in range(count):
                 values.append(self.integer(self.tokens[index], row, tok))
                 index += 1
+        del self.tokens
         return tuple(values)
 
 

@@ -29,8 +29,8 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
     Node ids are heap-ordered (node k's child ids are 2k+1 and 2k+2).  The edge
     into a node at depth d is labeled d+1 for d <= h-2, then 0 (left) or
     1 (right) at depth h-1, then 0 at the leaves.  N = 2^(h+1) - 1.
-    Heights above 24 are refused before anything is built: memory doubles
-    per level, from about 74 MB at h = 17.
+    Heights above 24 are refused before anything is built: a process's
+    peak memory about doubles per level, from 75 MB at h = 17.
     """
     if h < 3:
         raise ValueError("height must be at least 3")

@@ -1,18 +1,25 @@
-"""Rooted edge-labeled tree text model, stored as flat per-node arrays.
+"""Rooted edge-labeled tree text model, stored as flat arrays.
 
 Node ids are 0..N-1 with node 0 the root.  Each non-root node stores its
-parent and the label of the edge from it; every node stores its depth
-and the height of its subtree (the length of the longest downward path
-to a leaf).  ``preorder`` lists the nodes in depth-first preorder, with
-siblings in the order their edges appear in the input: every node comes
-after its parent, and a node's subtree is the contiguous run that starts
-at it.  ``build_tree`` makes no per-node container: it links each node to
-its first child and to its next sibling in two flat arrays and walks
-those once.
+parent and the label of the edge from it.  ``preorder`` lists the nodes in
+depth-first preorder, with siblings in the order their edges appear in
+the input: every node comes after its parent, and a node's subtree is the
+contiguous run that starts at it.  The search tables are indexed by
+preorder position k, not by node id, so that a pass over the preorder
+reads them in order: ``labels[k]``, ``depths[k]`` and ``heights[k]`` are
+the edge label, depth and subtree height (the length of the longest
+downward path to a leaf) of node ``preorder[k]``.  The parent of position
+k is the last position before it at depth ``depths[k] - 1``, so no parent
+positions are stored.  ``depth`` and ``subtree_height`` give the same
+values by node id; they are derived on first read.
+
+``build_tree`` makes no per-node container: it links each node to its
+first child and to its next sibling in two flat arrays and walks those
+once.
 """
 
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class TreeValidationError(ValueError):
@@ -31,10 +38,30 @@ class TextTree:
     node_count: int
     parent: tuple[int, ...]  # parent[0] = -1
     edge_label: tuple[int, ...]  # edge_label[v] labels the edge parent[v] -> v
-    depth: tuple[int, ...]
-    subtree_height: tuple[int, ...]
     max_depth: int
     preorder: tuple[int, ...]  # siblings in input order
+    # Search tables by preorder position, derived by build_tree and left out
+    # of ==, hash and repr (labels[0] is 0: the root has no edge)
+    labels: tuple[int, ...] = field(compare=False, repr=False)
+    depths: tuple[int, ...] = field(compare=False, repr=False)
+    heights: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Each node's depth, by node id."""
+        return _by_id(self.preorder, self.depths)
+
+    @cached_property
+    def subtree_height(self) -> tuple[int, ...]:
+        """Each node's subtree height, by node id."""
+        return _by_id(self.preorder, self.heights)
+
+
+def _by_id(preorder: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(preorder)
+    for v, x in zip(preorder, table):
+        out[v] = x
+    return tuple(out)
 
 
 def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
@@ -70,16 +97,20 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
         after[v] = first[u]
         first[u] = v
 
-    # descend to each node's first child; a sibling still to visit waits on the stack
+    # descend to each node's first child; a sibling still to visit waits on
+    # the stack with its depth
     preorder = [0]
-    stack = [first[0]]
+    depths = [0]
+    stack = [(first[0], 1)]
     while stack:
-        v = stack.pop()
+        v, d = stack.pop()
         while v:
             preorder.append(v)
+            depths.append(d)
             if after[v]:
-                stack.append(after[v])
+                stack.append((after[v], d))
             v = first[v]
+            d += 1
     if len(preorder) != n:
         reached = set(preorder)
         missing = min(v for v in range(n) if v not in reached)
@@ -88,22 +119,27 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
             f"node {missing} is not reachable from the root", edge
         )
 
-    depth = [0] * n
-    for v in islice(preorder, 1, None):
-        depth[v] = depth[parent[v]] + 1
-    height = [0] * n
-    for v in islice(reversed(preorder), n - 1):  # every node but the root
-        h = height[v] + 1
-        u = parent[v]
-        if h > height[u]:
-            height[u] = h
+    # In reverse preorder a node comes after all of its descendants, and
+    # the depth-(d+1) nodes met since the last depth-d one are its children:
+    # tall[d + 1] holds their tallest height plus one.
+    max_depth = max(depths)
+    tall = [0] * (max_depth + 2)
+    heights = [0] * n
+    for k in range(n - 1, -1, -1):
+        d = depths[k]
+        h = tall[d + 1]
+        tall[d + 1] = 0
+        heights[k] = h
+        if h >= tall[d]:
+            tall[d] = h + 1
 
     return TextTree(
         node_count=n,
         parent=tuple(parent),
         edge_label=tuple(label),
-        depth=tuple(depth),
-        subtree_height=tuple(height),
-        max_depth=max(depth),
+        max_depth=max_depth,
         preorder=tuple(preorder),
+        labels=tuple(map(label.__getitem__, preorder)),
+        depths=tuple(depths),
+        heights=tuple(heights),
     )

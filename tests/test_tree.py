@@ -202,6 +202,10 @@ def assert_same_as_reference(edges):
         order.append(u)
         stack.extend(reversed(kids[u]))
     assert tree.preorder == tuple(order)
+    # the search tables hold the by-id values at each preorder position
+    assert tree.labels == tuple(tree.edge_label[v] for v in order)
+    assert tree.depths == tuple(tree.depth[v] for v in order)
+    assert tree.heights == tuple(tree.subtree_height[v] for v in order)
 
 
 class TestAgainstReferenceBuild:
@@ -310,3 +314,15 @@ class TestEquality:
         assert reference_build_tree(edges) != reference_build_tree(swapped)
         # the same siblings in the same input order, wherever their edges sit
         assert build_tree(edges) == build_tree([(0, 1, 4), (1, 3, 2), (0, 2, 4)])
+
+    def test_tables_left_out_of_equality_hash_and_repr(self):
+        edges = [(0, 2, 1), (0, 1, 1), (1, 3, 2)]
+        a, b = build_tree(edges), build_tree(list(edges))
+        assert a == b and hash(a) == hash(b)
+        # reading the by-id values caches them on a alone; == and hash stay
+        assert a.depth == (0, 1, 1, 2) and a.subtree_height == (2, 1, 0, 0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "TextTree(node_count=4, parent=(-1, 0, 0, 1), edge_label=(0, 1, 1, 2), "
+            "max_depth=2, preorder=(0, 2, 1, 3))"
+        )
