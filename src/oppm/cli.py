@@ -16,7 +16,7 @@ import argparse
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .dag import (
     DagValidationError,
@@ -61,9 +61,20 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# A file is read and decoded once, and its content lines (the lines with a
-# token) are split into tokens; the parsers check those in bulk.  Line and
-# column are worked out only for an error, by walking the text again.
+# A file is read and decoded once.  Its body (the text after a tree or DAG
+# header) is converted in slices of about _SLICE characters, each cut just
+# after a whitespace character so that no token is split.  A slice's tokens
+# go through int() together and the slice is dropped before the next one is
+# cut, so no list of the file's bytes, lines or tokens lives beside the text
+# and the result.  Line and column are worked out only for an error, from
+# the text position of the fault.
+
+_SLICE = 1 << 16
+
+_SPACE = re.compile(r"\s")  # the characters str.split() splits at
+_TOKEN = re.compile(r"\S+")
+# a content line (a line with a token), from its first token to its end
+_CONTENT = re.compile(r"\S[^\r\n]*")
 
 
 def _lines(text: str) -> list[str]:
@@ -73,6 +84,12 @@ def _lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+def _line_number(text: str, pos: int) -> int:
+    """The 1-based number of the line that text position ``pos`` is on."""
+    ends = text.count("\n", 0, pos) + text.count("\r", 0, pos)
+    return 1 + ends - text.count("\r\n", 0, pos)
 
 
 # what int() accepts as a base-10 token: Unicode decimal digits, single
@@ -96,9 +113,43 @@ def _long_int(text: str) -> int | None:
     return -value if text[0] == "-" else value
 
 
+def _int64(token: str) -> tuple[int | None, str | None]:
+    """``(value, None)`` if ``token`` is a signed 64-bit integer, else
+    ``(None, message)`` naming the fault."""
+    try:
+        value = int(token)
+    except ValueError:
+        if not _INT_LITERAL.fullmatch(token):
+            return None, f"not an integer: {token!r}"
+        value = _long_int(token)
+    if value is None or not INT64_MIN <= value <= INT64_MAX:
+        return None, f"integer out of 64-bit signed range: {token}"
+    return value, None
+
+
+def _convert(tokens: list[str]) -> list[int] | None:
+    """``tokens`` as signed 64-bit integers, or None if one of them is not
+    one."""
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        # int() refuses a literal for its length alone too
+        values = [_int64(token)[0] for token in tokens]
+        if None in values:
+            return None
+    if values and not (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
+        return None
+    return values
+
+
 class _Input:
-    """One input file: its text, its tokens in file order, and the token
-    count of each content line (a line with at least one token)."""
+    """One input file's decoded text.
+
+    ``values(start)`` converts the text from position ``start`` on and
+    records the token count of each of its content lines (lines with a
+    token) in ``counts``.  It raises nothing: the caller first checks the
+    number of lines, which is reported before any fault on them, and then
+    ``check`` raises the first fault on them in file order."""
 
     def __init__(self, path: str):
         with open(path, "rb") as f:
@@ -107,139 +158,164 @@ class _Input:
             self.text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             # the bad byte is on the last line of the valid text before it
-            line = len(_lines(data[: exc.start].decode("utf-8")))
+            valid = data[: exc.start].decode("utf-8")
+            line = _line_number(valid, len(valid))
             raise ParseError(path, line, "not valid UTF-8") from None
-        del data  # not kept alive beside the text while the text is split
         self.path = path
-        # Flat, so that no list per line lives on for the garbage collector
-        # to scan again and again while the parse allocates.  The first
-        # content line's list is kept, not copied: copying touches every
-        # token, and a string file is one line of them.
-        self.tokens: list[str] = []
-        self.counts: list[int] = []
-        for line in _lines(self.text):
-            row = line.split()
-            if row:
-                if self.tokens:
-                    self.tokens += row
-                else:
-                    self.tokens = row
-                self.counts.append(len(row))
 
-    def error(self, msg: str, row: int, tok: int | None = None) -> ParseError:
-        """The error for content line ``row``, at its token ``tok`` if given."""
-        content = [
-            (lineno, line)
-            for lineno, line in enumerate(_lines(self.text), start=1)
-            if line.strip()
-        ]
-        lineno, line = content[row]
-        col = None if tok is None else list(re.finditer(r"\S+", line))[tok].start() + 1
-        return ParseError(self.path, lineno, msg, col)
+    def error(self, msg: str, pos: int, column: bool = True) -> ParseError:
+        """The error at text position ``pos``: on its line, and with
+        ``column`` at its column."""
+        text = self.text
+        col = None
+        if column:
+            col = pos - max(text.rfind("\n", 0, pos), text.rfind("\r", 0, pos))
+        return ParseError(self.path, _line_number(text, pos), msg, col)
 
-    def integer(self, text: str, row: int, tok: int) -> int:
-        """``text``, token ``tok`` of content line ``row``, as a signed
-        64-bit integer."""
-        try:
-            value = int(text)
-        except ValueError:
-            if not _INT_LITERAL.fullmatch(text):
-                raise self.error(f"not an integer: {text!r}", row, tok) from None
-            value = _long_int(text)
-        if value is None or not INT64_MIN <= value <= INT64_MAX:
-            raise self.error(f"integer out of 64-bit signed range: {text}", row, tok)
+    def integer(self, token: str, pos: int) -> int:
+        """``token``, found at text position ``pos``, as a signed 64-bit
+        integer."""
+        value, fault = _int64(token)
+        if fault is not None:
+            raise self.error(fault, pos)
         return value
 
-    def values(
-        self, start: int, arity: int | None = None, what: str = ""
-    ) -> tuple[int, ...]:
-        """The integers of content lines ``start`` on, in file order; with
-        ``arity``, every line must hold that many ("expected '{what}'" if not).
+    def header(self, form: str) -> tuple[re.Match, list[int]]:
+        """The first content line, which must read ``form`` (a keyword, then
+        names for the integers that follow it), and those integers."""
+        head = _CONTENT.search(self.text)
+        if head is None:
+            raise ParseError(self.path, 1, f"missing '{form}' header")
+        words = form.split()
+        tokens = _TOKEN.finditer(self.text, head.start(), head.end())
+        tokens = list(islice(tokens, len(words) + 1))
+        if tokens[0].group() != words[0] or len(tokens) != len(words):
+            raise self.error(f"expected header '{form}'", head.start())
+        return head, [self.integer(m.group(), m.start()) for m in tokens[1:]]
 
-        All lines are checked at once; only if that fails are they walked
-        one token at a time, to report the first fault in file order.  This
-        is the tokens' last reader, so a successful read releases them
-        (``error`` reads only the text): the caller's build then runs
-        without them."""
-        first = sum(self.counts[:start])
-        counts = self.counts[start:]
-        if arity is None or set(counts) <= {arity}:
-            try:
-                values = tuple(map(int, islice(self.tokens, first, None)))
-            except ValueError:
-                pass
+    def values(self, start: int) -> tuple[int, ...]:
+        """The integers from text position ``start`` on, in file order.  The
+        first slice with a token that is not a signed 64-bit integer ends the
+        conversion, so then the tuple stops short and ``check`` raises."""
+        self.start = start
+        self.counts: list[int] = []
+        self.bad: int | None = None  # the text position of that slice
+        return tuple(chain.from_iterable(self._slices()))
+
+    def _slices(self):
+        """The integers of each slice, a list at a time; ``counts`` is
+        complete once the generator is."""
+        text, counts = self.text, self.counts
+        carry = 0  # tokens so far on the line the last slice ended in
+        pos = self.start
+        while pos < len(text):
+            space = _SPACE.search(text, pos + _SLICE)
+            end = space.end() if space else len(text)
+            piece = text[pos:end]
+            tokens = piece.split()
+            lines = _lines(piece)
+            if len(lines) == 1:
+                tally = [len(tokens)]
             else:
-                if not values or INT64_MIN <= min(values) and max(values) <= INT64_MAX:
-                    del self.tokens
-                    return values
-        values = []
-        index = first
-        for row, count in enumerate(counts, start):
-            if arity is not None and count != arity:
-                raise self.error(f"expected '{what}'", row, 0)
-            for tok in range(count):
-                values.append(self.integer(self.tokens[index], row, tok))
-                index += 1
-        del self.tokens
-        return tuple(values)
+                # one line's split list at a time: kept alive together, the
+                # lists would set off the garbage collector again and again
+                tally = list(map(len, map(str.split, lines)))
+            tally[0] += carry
+            carry = tally.pop()
+            counts += filter(None, tally)
+            if self.bad is None:
+                chunk = _convert(tokens)
+                if chunk is None:
+                    self.bad = pos
+                else:
+                    yield chunk
+            pos = end
+        if carry:
+            counts.append(carry)
+
+    def row(self, index: int) -> int:
+        """The text position of the first token of content line ``index``
+        of those that ``values`` read."""
+        lines = _CONTENT.finditer(self.text, self.start)
+        return next(islice(lines, index, None)).start()
+
+    def check(self, arity: int | None = None, what: str = "") -> None:
+        """Raise the first fault on the lines ``values`` read, in file order:
+        a line without ``arity`` tokens ("expected '{what}'", reported before
+        the tokens on it), or a token that is not a signed 64-bit integer."""
+        faults = []
+        if arity is not None and not set(self.counts) <= {arity}:
+            row = next(i for i, count in enumerate(self.counts) if count != arity)
+            faults.append((self.row(row), f"expected '{what}'"))
+        if self.bad is not None:
+            # every token before the failed slice converted; walk it lazily
+            for m in _TOKEN.finditer(self.text, self.bad):
+                fault = _int64(m.group())[1]
+                if fault is not None:
+                    faults.append((m.start(), fault))
+                    break
+        if faults:
+            # min keeps the first of equal positions, so the line's arity
+            # fault comes before a fault in its first token
+            pos, msg = min(faults, key=lambda fault: fault[0])
+            raise self.error(msg, pos)
 
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
     f = _Input(path)
+    values = f.values(0)
     if len(f.counts) > 1:
-        raise f.error("expected a single line of integers", 1, 0)
-    return f.values(0)
+        raise f.error("expected a single line of integers", f.row(1))
+    f.check()
+    return values
 
 
 def parse_tree_file(path: str) -> TextTree:
     """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
     f = _Input(path)
-    if not f.counts:
-        raise ParseError(path, 1, "missing 'tree N' header")
-    if f.tokens[0] != "tree" or f.counts[0] != 2:
-        raise f.error("expected header 'tree N'", 0, 0)
-    n = f.integer(f.tokens[1], 0, 1)
+    head, (n,) = f.header("tree N")
     if n < 1:
-        raise f.error("node count must be at least 1", 0)
-    lines = len(f.counts) - 1
+        raise f.error("node count must be at least 1", head.start(), column=False)
+    values = f.values(head.end())
+    lines = len(f.counts)
     if lines != n - 1:
-        raise f.error(f"expected {n - 1} edge lines, found {lines}", 0)
-    values = f.values(1, 3, "parent child label")
-    edges = list(zip(values[0::3], values[1::3], values[2::3]))
+        msg = f"expected {n - 1} edge lines, found {lines}"
+        raise f.error(msg, head.start(), column=False)
+    f.check(3, "parent child label")
+    edges = list(zip(*[iter(values)] * 3))
+    del values  # the edges hold its integers; build_tree runs without it
     try:
         return build_tree(edges)
     except TreeValidationError as exc:
-        raise f.error(str(exc), 1 + exc.edge) from exc
+        raise f.error(str(exc), f.row(exc.edge), column=False) from exc
 
 
 def parse_dag_file(path: str) -> TextDag:
     """Header 'dag V E' and E edge lines; build_dag checks the structure."""
     f = _Input(path)
-    if not f.counts:
-        raise ParseError(path, 1, "missing 'dag V E' header")
-    if f.tokens[0] != "dag" or f.counts[0] != 3:
-        raise f.error("expected header 'dag V E'", 0, 0)
-    v_count = f.integer(f.tokens[1], 0, 1)
-    e_count = f.integer(f.tokens[2], 0, 2)
+    head, (v_count, e_count) = f.header("dag V E")
     if v_count < 1:
-        raise f.error("vertex count must be at least 1", 0)
+        raise f.error("vertex count must be at least 1", head.start(), column=False)
     if e_count < 0:
-        raise f.error("edge count cannot be negative", 0)
-    lines = len(f.counts) - 1
+        raise f.error("edge count cannot be negative", head.start(), column=False)
+    values = f.values(head.end())
+    lines = len(f.counts)
     if lines != e_count:
-        raise f.error(f"expected {e_count} edge lines, found {lines}", 0)
-    values = f.values(1, 3, "source target label")
+        msg = f"expected {e_count} edge lines, found {lines}"
+        raise f.error(msg, head.start(), column=False)
+    f.check(3, "source target label")
     # file lines are 'source target label', DAG edges (source, label, target)
     edges = list(zip(values[0::3], values[2::3], values[1::3]))
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
-        raise f.error(str(exc), 1 + exc.edge) from exc
+        raise f.error(str(exc), f.row(exc.edge), column=False) from exc
     except MemoryError:
         # the edges are in memory already; what build_dag adds is a table
         # entry per vertex, so it is the header's V that could not be met
-        raise f.error(f"vertex count {v_count} is too large", 0) from None
+        msg = f"vertex count {v_count} is too large"
+        raise f.error(msg, head.start(), column=False) from None
 
 
 # ---------------------------------------------------------------------------

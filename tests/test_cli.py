@@ -5,11 +5,13 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import oppm
+import oppm.cli as cli
 from oppm.cli import (
     ParseError,
     build_parser,
@@ -22,7 +24,7 @@ from oppm.cli import (
     tree_file_text,
 )
 from oppm.dag import DagValidationError, build_dag, build_dasg
-from oppm.gen import gen_random_tree
+from oppm.gen import gen_random_string, gen_random_tree
 from oppm.tree import TreeValidationError, build_tree
 
 WORKED_PATTERN = "22 41 35 37\n"
@@ -542,6 +544,106 @@ def test_bulk_parser_agrees_with_token_reference(tmp_path, kind):
     for fault in _FAULTS[kind]:
         assert any(fault in m for m in messages), fault
     assert 100 < len(messages) < 700
+
+
+def _case(kind, seed):
+    """The file of case ``seed`` in test_bulk_parser_agrees_with_token_reference."""
+    rng = random.Random(f"{kind}-{seed}")
+    lines = _PARSERS[kind][0](rng)
+    for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+        _mutate(rng, lines, kind)
+    if rng.random() < 0.03:
+        lines = []
+    return _render(rng, lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+def test_parser_agrees_with_token_reference_at_every_slice_size(tmp_path, monkeypatch, kind):
+    """The same cases, converted in slices of 1 to 16 characters: slices end
+    where a token would be cut, between \\r and \\n, after \\x85, \\u2028 or
+    \\u3000, at blank lines and at an end of file with no line end."""
+    _, parse, reference = _PARSERS[kind]
+    path = str(tmp_path / f"{kind}.txt")
+    pieces = []  # the slices of one parse, in order
+    lines = cli._lines
+    monkeypatch.setattr(cli, "_lines", lambda piece: pieces.append(piece) or lines(piece))
+    seams = set()  # (last character of a slice, first character of the next)
+    for seed in range(800):
+        data = _case(kind, seed)
+        with open(path, "wb") as f:
+            f.write(data)
+        want = _outcome(reference, path)
+        for size in range(1, 17):
+            monkeypatch.setattr(cli, "_SLICE", size)
+            pieces.clear()
+            assert _outcome(parse, path) == want, f"seed {seed}, slice {size}: {data!r}"
+            seams.update((a[-1], b[0]) for a, b in zip(pieces, pieces[1:]))
+            if pieces and not pieces[-1][-1].isspace():
+                seams.add((pieces[-1][-1], None))
+    ends = {a for a, _ in seams}
+    assert {"\r", "\x85", "\u2028", "\u3000"} <= ends
+    assert ("\r", "\n") in seams
+    assert {("\n", "\n"), ("\n", "\r")} & seams  # a slice starts a blank line
+    assert any(b is None for _, b in seams)  # a last slice with no line end
+
+
+class TestLargeFiles:
+    """Long lines and the parsers' tracemalloc peaks.  The peaks measured on
+    Python 3.11: the string file 8.6 MB, and 8.6 MB for the fault at its end
+    (18.7 and 44.9 MB while the parse kept a list of every token and then
+    listed every token of the line to find the fault's column); the tree
+    file 9.7 MB before build_tree and 13.8 MB in all (16.1 MB for both, and
+    15.0 MB in all if the parse keeps its tuple of values during the build)."""
+
+    LABELS = 2 * 10**5
+    NODES = 5 * 10**4
+    MB = 10**6
+
+    @staticmethod
+    def peak(parse, path):
+        """The tracemalloc peak of ``parse(path)``, and its ParseError or None."""
+        tracemalloc.start()
+        try:
+            parse(str(path))
+        except ParseError as exc:
+            return tracemalloc.get_traced_memory()[1], exc
+        else:
+            return tracemalloc.get_traced_memory()[1], None
+        finally:
+            tracemalloc.stop()
+
+    def test_fault_ends_a_line_of_a_million_labels(self, files, capsys):
+        path = files("s.txt", "7 " * (10**6 - 1) + "x\n")
+        assert main(["match-string", files("p.txt", "1 2\n"), path]) == 2
+        col = 2 * (10**6 - 1) + 1
+        assert capsys.readouterr().err == f"error: {path}:1:{col}: not an integer: 'x'\n"
+
+    def test_string_file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        text = pattern_file_text(gen_random_string(self.LABELS, 1000, 1))
+        path.write_text(text)
+        peak, error = self.peak(parse_pattern_file, path)
+        assert error is None and peak < 12 * self.MB
+        cut = text.rindex(" ") + 1
+        path.write_text(text[:cut] + "x\n")
+        peak, error = self.peak(parse_pattern_file, path)
+        assert str(error) == f"{path}:1:{cut + 1}: not an integer: 'x'"
+        assert peak < 12 * self.MB
+
+    def test_tree_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.txt"
+        path.write_text(tree_file_text(gen_random_tree(self.NODES, 1000, 1)))
+        parse_peaks = []
+
+        def build(edges):
+            parse_peaks.append(tracemalloc.get_traced_memory()[1])
+            return build_tree(edges)
+
+        monkeypatch.setattr(cli, "build_tree", build)
+        peak, error = self.peak(parse_tree_file, path)
+        assert error is None
+        assert parse_peaks[0] < 12 * self.MB
+        assert peak < 14.5 * self.MB
 
 
 class TestMatchCommands:
