@@ -3,10 +3,20 @@
 Includes the subsequence-graph construction that reduces order-preserving
 subsequence matching to DAG path matching.  The path search is a
 backtracking DFS: the problem is NP-complete, so exponential worst-case
-cost is expected.  States (vertex, matched length) must NOT be memoized:
-whether a partial path can be extended depends on the concrete labels
-along the whole path, not just its length, so merging such states is
-unsound.
+cost is expected.
+
+The search remembers the subtrees that failed.  The pair (vertex,
+matched length) alone is not a sound key: whether a partial path can be
+extended depends on labels it has already matched.  But after i labels,
+the steps still to come compare only against the labels at the
+pattern's frontier A_i = {k < i : some step j >= i reads index k}, so
+(vertex, i, labels at A_i) decides the subtree's outcome, and a subtree
+that failed under a key fails again wherever the key recurs, from any
+start.  Skipping such subtrees keeps the DFS order and so the witness.
+A pattern whose frontier is at most w labels wide has at most
+V * (m + 1) * sigma^w keys.  The memo holds at most ``_MEMO_CAP`` keys;
+past that, failures are no longer recorded, which costs repeated work
+and never an answer.
 """
 
 from collections.abc import Iterable, Sequence
@@ -15,6 +25,12 @@ from itertools import islice, repeat
 from operator import itemgetter, lt
 
 from .pattern import PatternTables, build_pattern_tables
+
+# Most failed-subtree keys one search records: about 50 MB of key tuples
+# for a frontier seven labels wide.
+_MEMO_CAP = 1 << 18
+# stand-ins for a missing bound: every int label lies strictly between them
+_BELOW, _ABOVE = float("-inf"), float("inf")
 
 
 class DagValidationError(ValueError):
@@ -162,15 +178,36 @@ def match_dag_explored(
 
     ``starts`` are the vertex ids a path may begin at, tried in the given
     order; by default every vertex, in ascending order.  The count is the
-    cost measure used to exhibit exponential growth on subsequence-graph
-    inputs.
+    search's cost measure: every edge that survives the longest-path
+    prune, an edge into a subtree the memo knows to fail included.
     """
     m = len(tables.values)
     steps = tables.steps
     out, longest = dag.out, dag.longest
 
+    # last[k]: the last step that reads index k (k itself if none does).
+    # frontier[i] reads the labels at A_i = {k < i : last[k] >= i} off
+    # ``labels``.  Every step i >= 1 has a bound, as p[0] <= p[i] or
+    # p[0] >= p[i], so A_i is never empty and itemgetter gets an index.
+    last = list(range(m))
+    for j, (oa, ob, _) in enumerate(steps):
+        if oa is not None:
+            last[j + oa] = j
+        if ob is not None:
+            last[j + ob] = j
+    frontier: list[itemgetter | None] = [None] * m
+    ks: list[int] = []
+    for i in range(1, m):
+        ks = [k for k in ks if last[k] >= i]
+        if last[i - 1] >= i:
+            ks.append(i - 1)
+        frontier[i] = itemgetter(*ks)
+
     labels = [0] * m
     verts = [0] * (m + 1)
+    keys: list[tuple | None] = [None] * m  # keys[i]: the memo key of level i >= 1
+    dead: set[tuple] = set()
+    cap = _MEMO_CAP
     explored = 0
     for s in range(dag.vertex_count) if starts is None else starts:
         if longest[s] < m:
@@ -179,23 +216,30 @@ def match_dag_explored(
         stack = [iter(out[s])]
         while stack:
             i = len(stack) - 1  # labels[0..i-1] matched so far
-            descended = False
+            oa, ob, _ = steps[i]
+            lo = _BELOW if oa is None else labels[i + oa]
+            hi = _ABOVE if ob is None else labels[i + ob]
+            floor = m - i - 1
             for _, c, v in stack[-1]:
-                if longest[v] < m - i - 1:
+                if longest[v] < floor:
                     continue
                 explored += 1
-                oa, ob, _ = steps[i]
-                if (oa is None or labels[i + oa] < c) != (ob is None or c < labels[i + ob]):
+                if (lo < c) != (c < hi):
                     continue
                 labels[i] = c
                 verts[i + 1] = v
                 if i + 1 == m:
                     return list(verts), explored
+                key = (v, i + 1, frontier[i + 1](labels))
+                if key in dead:
+                    continue
+                keys[i + 1] = key
                 stack.append(iter(out[v]))
-                descended = True
                 break
-            if not descended:
+            else:
                 stack.pop()
+                if i and len(dead) < cap:
+                    dead.add(keys[i])
     return None, explored
 
 

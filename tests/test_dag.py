@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oppm.dag
 from oppm.dag import (
     DagValidationError,
     TextDag,
@@ -17,7 +18,7 @@ from oppm.dag import (
     opsm,
 )
 from oppm.gen import gen_random_dag
-from oppm.oracles import is_subsequence, naive_isomorphic, naive_opsm
+from oppm.oracles import OPSM_TEXT_LIMIT, is_subsequence, naive_isomorphic, naive_opsm
 from oppm.pattern import build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import match_string
 
@@ -279,16 +280,50 @@ class TestBuildDasg:
         assert dasg_path_spells(dag, s) == is_subsequence(s, t)
 
 
-def reference_match_dag_explored(tables, dag):
-    """The backtracking search on lmax / lmin: the reference for
-    match_dag_explored's step-table test."""
+def organ_pipe(n):
+    """The text (2, 1, 4, 3, ..., n, n - 1), whose longest increasing
+    subsequence has n / 2 labels, and an increasing pattern one longer."""
+    t = []
+    for k in range(1, n, 2):
+        t.extend((k + 1, k))
+    return t, tuple(range(1, n // 2 + 2))
+
+
+def frontier_width(p):
+    """The most indices k < i that steps j >= i still compare against,
+    over all i, from lmax / lmin alone."""
+    lmax, lmin = compute_lmax_lmin(p)
+    reads = [{b - 1 for b in (lmax[j], lmin[j]) if b} for j in range(len(p))]
+    return max(
+        (len({k for r in reads[i:] for k in r if k < i}) for i in range(1, len(p))),
+        default=0,
+    )
+
+
+def seeded_search_cases():
+    """Patterns against subsequence graphs and random DAGs, both answers."""
+    rng = random.Random(7003)
+    for sigma in (1, 2, 5, 100):
+        for m in range(1, 13):
+            for _ in range(8):
+                tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
+                t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 16))]
+                v = rng.randint(1, 14)
+                random_dag = gen_random_dag(v, 0.4, sigma, rng.randrange(2**30))
+                yield tables, build_dasg(t)
+                yield tables, random_dag
+
+
+def reference_match_dag_explored(tables, dag, starts=None):
+    """The plain backtracking search on lmax / lmin, with no failure memo:
+    the reference for match_dag_explored's step-table test and memo."""
     m = len(tables.values)
     lmax, lmin = compute_lmax_lmin(tables.values)
     out, longest = dag.out, dag.longest
     labels = [0] * m
     verts = [0] * (m + 1)
     explored = 0
-    for s in range(dag.vertex_count):
+    for s in range(dag.vertex_count) if starts is None else starts:
         if longest[s] < m:
             continue
         verts[0] = s
@@ -402,10 +437,7 @@ class TestMatchDag:
     def test_explored_count_grows_with_organ_pipe_size(self):
         counts = []
         for n in (6, 8, 10):
-            t = []
-            for k in range(1, n, 2):
-                t.extend((k + 1, k))
-            p = tuple(range(1, n // 2 + 2))
+            t, p = organ_pipe(n)
             witness, explored = match_dag_explored(
                 build_pattern_tables(p), build_dasg(t)
             )
@@ -413,44 +445,91 @@ class TestMatchDag:
             counts.append(explored)
         assert counts[0] < counts[1] < counts[2]
 
+    @staticmethod
+    def check_organ_pipe_pins(search, all_starts, from_source):
+        # The exact cost of the search.  One label shorter, the pattern
+        # matches, and witness and count then pin the order in which
+        # out-edges are tried: by target, so label 2 before label 1.
+        for n, count in all_starts.items():
+            t, p = organ_pipe(n)
+            dag = build_dasg(t)
+            assert search(build_pattern_tables(p), dag) == (None, count)
+            if n in from_source:
+                found = search(build_pattern_tables(p), dag, starts=(0,))
+                assert found == (None, from_source[n])
+            witness = [0, *range(1, n, 2)]
+            assert search(build_pattern_tables(p[:-1]), dag) == (witness, n - 1)
 
-    def test_explored_count_pinned_on_organ_pipe_texts(self):
-        # The exact cost of the search.  With no match every edge that
-        # survives pruning is tried, in whatever order; one label shorter,
-        # the pattern matches, and witness and count then pin the order in
-        # which out-edges are tried: by target, so label 2 before label 1.
-        expected = {
+    def test_reference_explored_pinned_on_organ_pipe_texts(self):
+        # the plain loop: with no match every edge that survives pruning is
+        # tried, in whatever order; from vertex 0 alone about half of that
+        all_starts = {
             6: 31, 8: 85, 10: 217, 12: 539, 14: 1318, 16: 3202,
             18: 7752, 20: 18740, 22: 45269, 24: 109319, 26: 263951,
         }
-        # opsm's search, from vertex 0 alone, pays about half of that
         from_source = {24: 57120, 26: 137902}
-        for n, count in expected.items():
-            t = []
-            for k in range(1, n, 2):
-                t.extend((k + 1, k))
-            p = tuple(range(1, n // 2 + 2))
-            dag = build_dasg(t)
-            assert match_dag_explored(build_pattern_tables(p), dag) == (None, count)
-            if n in from_source:
-                found = match_dag_explored(build_pattern_tables(p), dag, starts=(0,))
-                assert found == (None, from_source[n])
-            witness = [0, *range(1, n, 2)]
-            assert match_dag_explored(build_pattern_tables(p[:-1]), dag) == (witness, n - 1)
+        self.check_organ_pipe_pins(reference_match_dag_explored, all_starts, from_source)
 
+    def test_explored_count_pinned_on_organ_pipe_texts(self):
+        # the memo: each failed (vertex, matched length, frontier label) key
+        # is expanded once, across starts too
+        all_starts = {
+            6: 16, 8: 30, 10: 50, 12: 77, 14: 112, 16: 156,
+            18: 210, 20: 275, 22: 352, 24: 442, 26: 546,
+        }
+        from_source = {20: 230, 24: 376, 26: 468}
+        self.check_organ_pipe_pins(match_dag_explored, all_starts, from_source)
 
     def test_witness_and_explored_equal_reference_loop(self):
-        rng = random.Random(7003)
-        for sigma in (1, 2, 5, 100):
-            for m in range(1, 13):
-                for _ in range(8):
-                    tables = build_pattern_tables([rng.randint(1, sigma) for _ in range(m)])
-                    t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 16))]
-                    v = rng.randint(1, 14)
-                    random_dag = gen_random_dag(v, 0.4, sigma, rng.randrange(2**30))
-                    for dag in (build_dasg(t), random_dag):
-                        expected = reference_match_dag_explored(tables, dag)
-                        assert match_dag_explored(tables, dag) == expected
+        # the memo skips only subtrees that failed before, so the witness is
+        # the plain loop's and the count is at most the plain loop's, and
+        # within the frontier bound (see the organ-pipe test below)
+        saved = 0
+        for tables, dag in seeded_search_cases():
+            witness, explored = reference_match_dag_explored(tables, dag)
+            got = match_dag_explored(tables, dag)
+            assert got[0] == witness
+            assert got[1] <= explored
+            saved += explored - got[1]
+            sigma = len({c for _, c, _ in dag.edges})
+            bound = dag.vertex_count * (len(tables) + 1) * sigma ** frontier_width(tables.values)
+            assert got[1] <= bound * max(map(len, dag.out))
+        assert saved > 0
+
+    @pytest.mark.parametrize("cap", [0, 5])
+    def test_capped_memo_keeps_witness_and_answer(self, monkeypatch, cap):
+        # past the cap the memo stops recording; with no room at all the
+        # search is the plain loop, count for count
+        monkeypatch.setattr(oppm.dag, "_MEMO_CAP", cap)
+        cases = list(seeded_search_cases())
+        for n in (6, 10, 14):
+            t, p = organ_pipe(n)
+            cases += [(build_pattern_tables(p), build_dasg(t))]
+        for tables, dag in cases:
+            witness, explored = reference_match_dag_explored(tables, dag)
+            got = match_dag_explored(tables, dag)
+            assert got[0] == witness
+            assert got[1] == explored if cap == 0 else got[1] <= explored
+        t, p = organ_pipe(14)
+        assert opsm(p, t) is False and opsm(p[:-1], t) is True
+
+    def test_explored_within_frontier_bound_on_organ_pipes(self):
+        # a pattern whose frontier is w labels wide has at most
+        # V * (m + 1) * sigma^w keys, each expanded once, so the search
+        # tries at most that many times the largest out-degree edges; an
+        # increasing pattern has w = 1, so the bound is polynomial
+        for n in range(6, 62, 2):
+            t, p = organ_pipe(n)
+            dag = build_dasg(t)
+            w = frontier_width(p)
+            assert w == 1
+            bound = dag.vertex_count * (len(p) + 1) * len(set(t)) ** w
+            bound *= max(map(len, dag.out))
+            tables = build_pattern_tables(p)
+            for starts in (None, (0,)):
+                witness, explored = match_dag_explored(tables, dag, starts=starts)
+                assert witness is None
+                assert explored <= bound
 
 
 class TestOpsm:
@@ -514,3 +593,89 @@ class TestOpsm:
                 for m in range(1, 4):
                     for p in product((1, 2), repeat=m):
                         assert opsm(p, t) == naive_opsm(p, t)
+
+
+def increasing_map(rng, values):
+    """A strictly increasing map of ``values`` onto int64, the smallest
+    value going to -2^63 and (with two or more values) the largest to
+    2^63 - 1."""
+    vals = sorted(set(values))
+    inner = set()
+    while len(inner) < len(vals) - 2:
+        inner.add(rng.randrange(-(2**63) + 1, 2**63 - 1))
+    image = [-(2**63), *sorted(inner), 2**63 - 1][: len(vals)]
+    return dict(zip(vals, image))
+
+
+class TestSearchPastOracleLimit:
+    """Relations that need no oracle, on texts far longer than
+    OPSM_TEXT_LIMIT: the search only compares labels, and a subsequence of
+    t read backwards is a subsequence of t reversed."""
+
+    @staticmethod
+    def opsm_cases():
+        """(p, t, f) with n in the hundreds, m <= 8 and f an increasing map."""
+        rng = random.Random(1601)
+        for k in range(60):
+            n = rng.randint(100, 300)
+            m = rng.randint(2, 8)
+            if k % 3 == 0:
+                # m - 1 falling runs: no increasing subsequence of length m
+                t = [rng.randint(1, 1000) for _ in range(n)]
+                cuts = sorted(rng.sample(range(1, n), m - 2))
+                runs = zip([0, *cuts], [*cuts, n])
+                t = [x for a, b in runs for x in sorted(t[a:b], reverse=True)]
+                p = sorted(rng.sample(range(1, 100), m))
+            elif k % 3 == 1:
+                t = [rng.randint(1, 3) for _ in range(n)]
+                p = [rng.randint(1, 4) for _ in range(m)]
+            else:
+                # distinct values: a tie in p would need equal labels, which
+                # are rare in this text and make the search explore for long
+                t = [rng.randint(1, 1000) for _ in range(n)]
+                p = rng.sample(range(1, 100), m)
+            yield p, t, increasing_map(rng, [*p, *t])
+
+    def test_opsm_relations(self):
+        answers = []
+        for p, t, f in self.opsm_cases():
+            assert len(t) > OPSM_TEXT_LIMIT
+            dag = build_dasg(t)
+            found = match_dag_explored(build_pattern_tables(p), dag, starts=(0,))
+            mapped = match_dag_explored(
+                build_pattern_tables([f[x] for x in p]), build_dasg([f[x] for x in t]), starts=(0,)
+            )
+            assert mapped == found
+            witness = found[0]
+            assert opsm(p, t) == (witness is not None) == opsm(p[::-1], t[::-1])
+            answers.append(witness is not None)
+            if witness is not None:
+                assert witness[0] == 0
+                edges = set(dag.edges)
+                assert all((u, t[v - 1], v) in edges for u, v in zip(witness, witness[1:]))
+                assert naive_isomorphic(p, [t[v - 1] for v in witness[1:]])
+        assert 15 <= answers.count(False) and 15 <= answers.count(True)
+
+    def test_random_dag_relations(self):
+        rng = random.Random(1602)
+        answers = []
+        for _ in range(30):
+            v = rng.randint(100, 200)
+            dag = gen_random_dag(v, 4 / v, rng.choice((3, 1000)), rng.randrange(2**30))
+            p = [rng.randint(1, 8) for _ in range(rng.randint(2, 8))]
+            found = match_dag_explored(build_pattern_tables(p), dag)
+            f = increasing_map(rng, [*p, *(c for _, c, _ in dag.edges)])
+            mapped_dag = build_dag(v, [(a, f[c], b) for a, c, b in dag.edges])
+            assert match_dag_explored(build_pattern_tables([f[x] for x in p]), mapped_dag) == found
+            # with every edge reversed, rev(p) matches exactly when p did
+            back = build_dag(v, [(b, c, a) for a, c, b in dag.edges])
+            witness = found[0]
+            assert (match_dag(build_pattern_tables(p[::-1]), back) is None) == (witness is None)
+            answers.append(witness is not None)
+            if witness is not None:
+                # gen_random_dag makes at most one edge per vertex pair
+                label = {(a, b): c for a, c, b in dag.edges}
+                steps = list(zip(witness, witness[1:]))
+                assert all(step in label for step in steps)
+                assert naive_isomorphic(p, [label[step] for step in steps])
+        assert answers.count(False) >= 5 and answers.count(True) >= 5
