@@ -18,14 +18,7 @@ import re
 import sys
 from itertools import chain, islice
 
-from .dag import (
-    DagValidationError,
-    TextDag,
-    build_dag,
-    build_dasg,
-    match_dag,
-    opsm,
-)
+from .dag import DagValidationError, TextDag, build_dag, build_dasg, match_dag, opsm
 from .gen import gen_adversarial, gen_random_dag, gen_random_string, gen_random_tree
 from .oracles import OPSM_TEXT_LIMIT, naive_match_string, naive_match_tree, naive_opsm
 from .pattern import build_pattern_tables
@@ -50,10 +43,6 @@ class ParseError(ValueError):
     """Input file rejected; the message carries path, line, and column."""
 
     def __init__(self, path: str, line: int, msg: str, col: int | None = None):
-        self.path = path
-        self.line = line
-        self.col = col
-        self.msg = msg
         loc = f"{path}:{line}" if col is None else f"{path}:{line}:{col}"
         super().__init__(f"{loc}: {msg}")
 
@@ -97,22 +86,6 @@ def _line_number(text: str, pos: int) -> int:
 _INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
-def _long_int(text: str) -> int | None:
-    """The value of an integer literal that int() refused only because it
-    has more digits than sys.get_int_max_str_digits() allows (leading zeros
-    count too), or None if it has more than 19 significant digits and so
-    lies outside the 64-bit range anyway.  The process-wide limit is left
-    as it is."""
-    digits = text.lstrip("+-").replace("_", "")
-    # every decimal digit's script has its own zero, 0 to 9 being contiguous
-    zeros = "".join({chr(ord(d) - int(d)) for d in set(digits)})
-    significant = digits.lstrip(zeros)
-    if len(significant) > 19:
-        return None
-    value = int(significant or "0")
-    return -value if text[0] == "-" else value
-
-
 def _int64(token: str) -> tuple[int | None, str | None]:
     """``(value, None)`` if ``token`` is a signed 64-bit integer, else
     ``(None, message)`` naming the fault."""
@@ -121,10 +94,14 @@ def _int64(token: str) -> tuple[int | None, str | None]:
     except ValueError:
         if not _INT_LITERAL.fullmatch(token):
             return None, f"not an integer: {token!r}"
-        value = _long_int(token)
-    if value is None or not INT64_MIN <= value <= INT64_MAX:
+        # int() refused it for its length alone; Decimal reads it, and the
+        # range is checked first, as int() takes seconds on 10^6 digits
+        from decimal import Decimal
+
+        value = Decimal(token)
+    if not INT64_MIN <= value <= INT64_MAX:
         return None, f"integer out of 64-bit signed range: {token}"
-    return value, None
+    return int(value), None
 
 
 def _convert(tokens: list[str]) -> list[int] | None:
@@ -488,26 +465,22 @@ def build_parser() -> argparse.ArgumentParser:
         mode = cmd.add_mutually_exclusive_group()
         mode.add_argument("--stats", action="store_true", help="append transition counts")
         mode.add_argument("--oracle", action="store_true", help="use the brute-force path")
-        cmd.add_argument("--out", dest="output", help="write output to a file")
 
     md = sub.add_parser("match-dag", help="find an op-matching path in a DAG")
     md.set_defaults(func=_match_dag)
     md.add_argument("pattern", help="pattern file")
     md.add_argument("dag", help="DAG file")
     md.add_argument("--witness", action="store_true", help="print the witness path")
-    md.add_argument("--out", dest="output", help="write output to a file")
 
     bd = sub.add_parser("build-dasg", help="build the subsequence graph of a string")
     bd.set_defaults(func=_build_dasg)
     bd.add_argument("text", help="string file")
-    bd.add_argument("--out", dest="output", help="write the DAG file here")
 
     op = sub.add_parser("opsm", help="order-preserving subsequence decision")
     op.set_defaults(func=_opsm)
     op.add_argument("pattern", help="pattern file")
     op.add_argument("text", help="string file")
     op.add_argument("--oracle", action="store_true", help="use subsequence enumeration")
-    op.add_argument("--out", dest="output", help="write output to a file")
 
     g = sub.add_parser("gen", help="generate instances")
     gsub = g.add_subparsers(dest="gen_command", required=True, parser_class=_Parser)
@@ -526,24 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     gs = gsub.add_parser("random-string", help="seeded random string")
     gs.set_defaults(func=_gen_random_string)
     gs.add_argument("--length", type=int, required=True)
-    gs.add_argument("--alphabet", type=int, required=True)
-    gs.add_argument("--seed", type=int, default=0)
-    gs.add_argument("--out", dest="output")
 
     gt = gsub.add_parser("random-tree", help="seeded random tree")
     gt.set_defaults(func=_gen_random_tree)
     gt.add_argument("--nodes", type=int, required=True)
-    gt.add_argument("--alphabet", type=int, required=True)
-    gt.add_argument("--seed", type=int, default=0)
-    gt.add_argument("--out", dest="output")
 
     gd = gsub.add_parser("random-dag", help="seeded random DAG")
     gd.set_defaults(func=_gen_random_dag)
     gd.add_argument("--vertices", type=int, required=True)
     gd.add_argument("--density", type=float, default=0.2)
-    gd.add_argument("--alphabet", type=int, required=True)
-    gd.add_argument("--seed", type=int, default=0)
-    gd.add_argument("--out", dest="output")
+
+    for cmd in (gs, gt, gd):
+        cmd.add_argument("--alphabet", type=int, required=True)
+        cmd.add_argument("--seed", type=int, default=0)
+    for cmd in (ms, mt, md, bd, op, gs, gt, gd):
+        cmd.add_argument("--out", dest="output", help="write output to a file")
 
     return parser
 
@@ -557,7 +527,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, TreeValidationError, DagValidationError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

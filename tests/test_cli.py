@@ -284,6 +284,32 @@ class TestLongTokens:
         path = files("p.txt", f"{zeros}7 -{zeros}{2**63} +{zeros}\n")
         assert parse_pattern_file(path) == (7, -(2**63), 0)
 
+    @pytest.mark.parametrize(
+        "token, value",
+        [
+            ("\u0660" * DIGITS + "\u0663", 3),
+            ("0" * (DIGITS // 2) + "\u0660" * (DIGITS // 2) + "7", 7),
+            ("0_" * 3000 + "7", 7),
+        ],
+        ids=["arabic-indic", "mixed-scripts", "underscores"],
+    )
+    def test_long_token_in_other_scripts(self, files, token, value):
+        path = files("p.txt", f"1 {token}\n")
+        values = parse_pattern_file(path)
+        assert values == (1, value)
+        assert type(values[1]) is int
+
+    def test_long_token_in_another_script_is_out_of_range(self, files):
+        bad = "\u0660" * self.DIGITS + str(2**63)
+        path = files("p.txt", f"1 {bad}\n")
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(path)
+        assert str(err.value) == f"{path}:1:3: integer out of 64-bit signed range: {bad}"
+
+    def test_long_header_count(self, files):
+        path = files("t.txt", f"tree {'0' * self.DIGITS}2\n0 1 5\n")
+        assert parse_tree_file(path).node_count == 2
+
     @pytest.mark.parametrize("tail", ["x", "_", "__1", "-1"])
     def test_long_non_integer_is_still_rejected(self, files, tail):
         bad = "9" * self.DIGITS + tail
@@ -815,6 +841,8 @@ class TestGenAndBenchCommands:
              "alphabet size must be at least 1"),
             (["random-dag", "--vertices", "0", "--alphabet", "3"],
              "vertex count must be at least 1"),
+            (["random-dag", "--vertices", "4097", "--alphabet", "3"],
+             "vertex count must be at most 4096"),
             (["random-dag", "--vertices", "5", "--density", "2", "--alphabet", "3"],
              "density must lie in [0, 1]"),
             (["random-dag", "--vertices", "5", "--alphabet", "0"],
@@ -826,6 +854,7 @@ class TestGenAndBenchCommands:
             "tree-nodes",
             "tree-alphabet",
             "dag-vertices",
+            "dag-vertex-cap",
             "dag-density",
             "dag-alphabet",
         ],

@@ -139,6 +139,8 @@ class TestRandomGenerators:
             (gen_random_tree, (1, 0, 0), "alphabet size must be at least 1"),
             (gen_random_dag, (0, 0.5, 5, 0), "vertex count must be at least 1"),
             (gen_random_dag, (0, 2.0, 0, 0), "vertex count must be at least 1"),
+            (gen_random_dag, (4097, 0.5, 5, 0), "vertex count must be at most 4096"),
+            (gen_random_dag, (10**9, 2.0, 0, 0), "vertex count must be at most 4096"),
             (gen_random_dag, (3, 1.5, 5, 0), "density must lie in [0, 1]"),
             (gen_random_dag, (3, -0.1, 5, 0), "density must lie in [0, 1]"),
             (gen_random_dag, (3, float("nan"), 5, 0), "density must lie in [0, 1]"),
@@ -155,6 +157,8 @@ class TestRandomGenerators:
             "tree-zero-alphabet",
             "dag-no-vertices",
             "dag-vertices-before-density",
+            "dag-too-many-vertices",
+            "dag-vertex-cap-before-density",
             "dag-density-above-one",
             "dag-density-below-zero",
             "dag-density-nan",

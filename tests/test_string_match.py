@@ -5,9 +5,14 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oppm.oracles import naive_match_string
+from oppm.cli import ORACLE_STRING_LIMIT
+from oppm.gen import gen_random_string
+from oppm.oracles import naive_isomorphic, naive_match_string
 from oppm.pattern import build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import MatchStats, match_string
+from oppm.tree import build_tree
+from oppm.treematch import match_tree
+from test_dag import increasing_map
 
 
 def reference_match_string(tables, t):
@@ -130,3 +135,63 @@ def test_positions_and_counters_equal_reference_loop():
                 t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 200))]
                 tables = build_pattern_tables(p)
                 assert match_string(tables, t) == reference_match_string(tables, t), (p, t)
+
+
+class TestPastOracleLimit:
+    """Relations that need no oracle, on texts of 10^5 labels, far past
+    ORACLE_STRING_LIMIT: the matcher only compares labels, a window read
+    backwards is a window of the reversed text, and a chain tree's root
+    paths are the string's prefixes."""
+
+    N = 10**5
+
+    @classmethod
+    def cases(cls):
+        """(p, t) with ties in both at small sigma; p is a window of t, so
+        it matches at least once."""
+        rng = random.Random(1701)
+        for sigma, m in ((2, 3), (3, 6), (100, 4), (100, 9), (10**6, 5)):
+            t = gen_random_string(cls.N, sigma, rng.randrange(2**30))
+            k = rng.randrange(cls.N - m)
+            yield t[k : k + m], t
+
+    def test_increasing_map_keeps_positions_and_counters(self):
+        rng = random.Random(1702)
+        for p, t in self.cases():
+            assert len(t) > ORACLE_STRING_LIMIT
+            found = match_string(build_pattern_tables(p), t)
+            f = increasing_map(rng, [*p, *t])
+            assert min(f.values()) == -(2**63) and max(f.values()) == 2**63 - 1
+            mapped = match_string(build_pattern_tables([f[x] for x in p]), [f[x] for x in t])
+            assert mapped == found
+
+    def test_reversal_and_negation_keep_matches(self):
+        for p, t in self.cases():
+            n, m = len(t), len(p)
+            positions, _ = match_string(build_pattern_tables(p), t)
+            back, _ = match_string(build_pattern_tables(p[::-1]), t[::-1])
+            assert back == sorted(n - e + m for e in positions)
+            negated, _ = match_string(build_pattern_tables([-x for x in p]), [-x for x in t])
+            assert negated == positions
+
+    def test_chain_tree_gives_positions_as_node_ids(self):
+        for p, t in self.cases():
+            tables = build_pattern_tables(p)
+            positions, stats = match_string(tables, t)
+            # node i + 1 ends the root path t[0..i], so its id is the position
+            chain = build_tree([(i, i + 1, c) for i, c in enumerate(t)])
+            unpruned = match_tree(tables, chain, prune=False)
+            assert unpruned.matched_nodes == positions
+            assert unpruned.stats == stats
+            assert match_tree(tables, chain).matched_nodes == positions
+
+    def test_windows_checked_directly(self):
+        rng = random.Random(1703)
+        for p, t in self.cases():
+            m = len(p)
+            positions, _ = match_string(build_pattern_tables(p), t)
+            assert positions
+            assert all(naive_isomorphic(p, t[e - m : e]) for e in positions)
+            reported = set(positions)
+            others = [e for e in range(m, len(t) + 1) if e not in reported]
+            assert not any(naive_isomorphic(p, t[e - m : e]) for e in rng.sample(others, 2000))

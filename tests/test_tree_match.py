@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oppm.cli import ORACLE_TREE_LIMIT
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
-from oppm.oracles import naive_match_tree
+from oppm.oracles import naive_isomorphic, naive_match_tree
 from oppm.pattern import PatternTables, build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
 from oppm.treematch import TreeMatchReport, match_tree
+from test_dag import increasing_map
 from test_tree import children, permuted_edges, tree_edges
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
@@ -293,3 +295,59 @@ class TestChainBridge:
         tree = build_tree(EXAMPLE_EDGES)
         with pytest.raises(ValueError, match="chain"):
             match_tree_on_path_equals_string(build_pattern_tables((1, 2)), tree)
+
+
+def window(tree: TextTree, v: int, m: int) -> list[int]:
+    """The last ``m`` labels on the root path of ``v``, walked up by parent."""
+    labels = []
+    for _ in range(m):
+        labels.append(tree.edge_label[v])
+        v = tree.parent[v]
+    return labels[::-1]
+
+
+class TestPastOracleLimit:
+    """Relations that need no oracle, on random trees of 2*10^4 nodes, far
+    past ORACLE_TREE_LIMIT: the matcher only compares labels."""
+
+    N = 2 * 10**4
+
+    @classmethod
+    def cases(cls):
+        """(p, tree) with ties in both at small sigma; p is the window of a
+        node, so it matches at least once."""
+        rng = random.Random(1711)
+        for sigma, m in ((2, 3), (3, 5), (100, 4), (100, 7), (10**6, 4)):
+            tree = gen_random_tree(cls.N, sigma, rng.randrange(2**30))
+            v = rng.choice([v for v in range(cls.N) if tree.depth[v] >= m])
+            yield window(tree, v, m), tree
+
+    def test_increasing_map_keeps_matches_and_counters(self):
+        rng = random.Random(1712)
+        for p, tree in self.cases():
+            assert tree.node_count > ORACLE_TREE_LIMIT
+            f = increasing_map(rng, [*p, *tree.edge_label[1:]])
+            assert min(f.values()) == -(2**63) and max(f.values()) == 2**63 - 1
+            mapped = build_tree([(u, v, f[c]) for u, v, c in tree_edges(tree)])
+            tables = build_pattern_tables(p)
+            mapped_tables = build_pattern_tables([f[x] for x in p])
+            for prune in (True, False):
+                assert match_tree(mapped_tables, mapped, prune) == match_tree(tables, tree, prune)
+
+    def test_negation_keeps_matches(self):
+        for p, tree in self.cases():
+            negated = build_tree([(u, v, -c) for u, v, c in tree_edges(tree)])
+            found = match_tree(build_pattern_tables(p), tree).matched_nodes
+            assert match_tree(build_pattern_tables([-x for x in p]), negated).matched_nodes == found
+
+    def test_windows_checked_directly(self):
+        rng = random.Random(1713)
+        for p, tree in self.cases():
+            m = len(p)
+            nodes = match_tree(build_pattern_tables(p), tree).matched_nodes
+            assert nodes
+            assert all(naive_isomorphic(p, window(tree, v, m)) for v in nodes)
+            reported = set(nodes)
+            others = [v for v in range(tree.node_count) if tree.depth[v] >= m and v not in reported]
+            sample = rng.sample(others, 2000)
+            assert not any(naive_isomorphic(p, window(tree, v, m)) for v in sample)
