@@ -4,7 +4,7 @@ Formats:
   pattern / string  one line of whitespace-separated signed 64-bit integers
   tree              header "tree N", then N-1 lines "parent child label"
   dag               header "dag V E", then E lines "source target label"
-Only \\n, \\r\\n and a lone \\r end a line; any other whitespace separates
+A line ends at LF, CRLF or a lone CR; any other whitespace separates
 tokens, and a token is an integer when int() accepts it, however many
 digits it has.
 
@@ -50,35 +50,30 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# A file is read and decoded once.  Its body (the text after a tree or DAG
-# header) is converted in slices of about _SLICE characters, each cut just
-# after a whitespace character so that no token is split.  A slice's tokens
-# go through int() together and the slice is dropped before the next one is
-# cut, so no list of the file's bytes, lines or tokens lives beside the text
-# and the result.  Line and column are worked out only for an error, from
-# the text position of the fault.
+# A file is read and decoded once, every line end made \n (_newlines).  Its
+# body (the text after a tree or DAG header) is converted in slices of about
+# _SLICE characters, each cut just after a whitespace character so that no
+# token is split.  A slice's tokens go through int() together and the slice
+# is dropped before the next one is cut, so no list of the file's bytes,
+# lines or tokens lives beside the text and the result.  Line and column are
+# worked out only for an error, from the text position of the fault.
 
 _SLICE = 1 << 16
 
 _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 _TOKEN = re.compile(r"\S+")
 # a content line (a line with a token), from its first token to its end
-_CONTENT = re.compile(r"\S[^\r\n]*")
+_CONTENT = re.compile(r"\S[^\n]*")
 
 
-def _lines(text: str) -> list[str]:
-    """The lines of ``text`` as text-mode file iteration reads them: only
-    \\n, \\r\\n and a lone \\r end a line (str.splitlines also breaks at
-    \\x0b, \\x85, \\u2028 and others, which here only separate tokens)."""
+def _newlines(text: str) -> str:
+    """``text`` with every line end as \\n, as text-mode file reading gives
+    it: only \\n, \\r\\n and a lone \\r end a line (str.splitlines also
+    breaks at \\x0b, \\x85, \\u2028 and others, which here only separate
+    tokens)."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
-
-
-def _line_number(text: str, pos: int) -> int:
-    """The 1-based number of the line that text position ``pos`` is on."""
-    ends = text.count("\n", 0, pos) + text.count("\r", 0, pos)
-    return 1 + ends - text.count("\r\n", 0, pos)
+    return text
 
 
 # what int() accepts as a base-10 token: Unicode decimal digits, single
@@ -132,22 +127,18 @@ class _Input:
         with open(path, "rb") as f:
             data = f.read()
         try:
-            self.text = data.decode("utf-8")
+            self.text = _newlines(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             # the bad byte is on the last line of the valid text before it
-            valid = data[: exc.start].decode("utf-8")
-            line = _line_number(valid, len(valid))
-            raise ParseError(path, line, "not valid UTF-8") from None
+            valid = _newlines(data[: exc.start].decode("utf-8"))
+            raise ParseError(path, valid.count("\n") + 1, "not valid UTF-8") from None
         self.path = path
 
     def error(self, msg: str, pos: int, column: bool = True) -> ParseError:
         """The error at text position ``pos``: on its line, and with
         ``column`` at its column."""
-        text = self.text
-        col = None
-        if column:
-            col = pos - max(text.rfind("\n", 0, pos), text.rfind("\r", 0, pos))
-        return ParseError(self.path, _line_number(text, pos), msg, col)
+        col = pos - self.text.rfind("\n", 0, pos) if column else None
+        return ParseError(self.path, self.text.count("\n", 0, pos) + 1, msg, col)
 
     def integer(self, token: str, pos: int) -> int:
         """``token``, found at text position ``pos``, as a signed 64-bit
@@ -190,7 +181,7 @@ class _Input:
             end = space.end() if space else len(text)
             piece = text[pos:end]
             tokens = piece.split()
-            lines = _lines(piece)
+            lines = piece.split("\n")
             if len(lines) == 1:
                 tally = [len(tokens)]
             else:
@@ -220,21 +211,19 @@ class _Input:
         """Raise the first fault on the lines ``values`` read, in file order:
         a line without ``arity`` tokens ("expected '{what}'", reported before
         the tokens on it), or a token that is not a signed 64-bit integer."""
-        faults = []
+        pos, msg = len(self.text), None
         if arity is not None and not set(self.counts) <= {arity}:
             row = next(i for i, count in enumerate(self.counts) if count != arity)
-            faults.append((self.row(row), f"expected '{what}'"))
+            pos, msg = self.row(row), f"expected '{what}'"
         if self.bad is not None:
-            # every token before the failed slice converted; walk it lazily
-            for m in _TOKEN.finditer(self.text, self.bad):
+            # every token before the failed slice converted; walk it lazily,
+            # up to the arity fault, which comes before its line's tokens
+            for m in _TOKEN.finditer(self.text, self.bad, pos):
                 fault = _int64(m.group())[1]
                 if fault is not None:
-                    faults.append((m.start(), fault))
+                    pos, msg = m.start(), fault
                     break
-        if faults:
-            # min keeps the first of equal positions, so the line's arity
-            # fault comes before a fault in its first token
-            pos, msg = min(faults, key=lambda fault: fault[0])
+        if msg is not None:
             raise self.error(msg, pos)
 
 

@@ -55,12 +55,20 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
     )
 
 
+def _check_alphabet(sigma: int) -> None:
+    """Labels are drawn from 1..sigma, so sigma must be a signed 64-bit
+    integer for the files the generators write to parse back."""
+    if sigma < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if sigma > 2**63 - 1:
+        raise ValueError("alphabet size must be at most 9223372036854775807")
+
+
 def gen_random_string(n: int, sigma: int, seed: int) -> tuple[int, ...]:
     """Uniform characters from 1..sigma; deterministic for a fixed seed."""
     if n < 0:
         raise ValueError("length cannot be negative")
-    if sigma < 1:
-        raise ValueError("alphabet size must be at least 1")
+    _check_alphabet(sigma)
     rng = random.Random(seed)
     return tuple(rng.randint(1, sigma) for _ in range(n))
 
@@ -69,8 +77,7 @@ def gen_random_tree(n: int, sigma: int, seed: int) -> TextTree:
     """Attach node i to a uniformly chosen earlier node; labels 1..sigma."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    if sigma < 1:
-        raise ValueError("alphabet size must be at least 1")
+    _check_alphabet(sigma)
     rng = random.Random(seed)
     edges = [
         (rng.randrange(i), i, rng.randint(1, sigma)) for i in range(1, n)
@@ -89,8 +96,7 @@ def gen_random_dag(v: int, density: float, sigma: int, seed: int) -> TextDag:
         raise ValueError("vertex count must be at most 4096")
     if not 0.0 <= density <= 1.0:  # NaN fails both comparisons
         raise ValueError("density must lie in [0, 1]")
-    if sigma < 1:
-        raise ValueError("alphabet size must be at least 1")
+    _check_alphabet(sigma)
     rng = random.Random(seed)
     edges = []
     for i in range(v):

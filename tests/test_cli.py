@@ -183,10 +183,17 @@ class TestLineAndTokenRules:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_line_ends(self, files, end):
-        path = files("t.txt", end.join(["tree 3", "0 1 5", "", "1 2 x", ""]))
-        with pytest.raises(ParseError) as err:
-            parse_tree_file(path)
-        assert str(err.value) == f"{path}:4:5: not an integer: 'x'"
+        cases = [
+            (["tree 3", "0 1 5", "", "1 2 x", ""], "4:5: not an integer: 'x'"),
+            # the arity fault comes before the bad token that starts its line
+            (["tree 3", "0 1 5", "", " x 1 2 4", ""], "4:2: expected 'parent child label'"),
+            (["tree 3", "", "0 1 5", "\t0 1 6"], "4: duplicate child 1"),
+        ]
+        for lines, message in cases:
+            path = files("t.txt", end.join(lines))
+            with pytest.raises(ParseError) as err:
+                parse_tree_file(path)
+            assert str(err.value) == f"{path}:{message}"
 
     def test_right_token_count_on_wrong_lines(self, files):
         path = files("t.txt", "tree 3\n0 1 5 2\n3 7\n")
@@ -586,31 +593,41 @@ def _case(kind, seed):
 @pytest.mark.parametrize("kind", sorted(_PARSERS))
 def test_parser_agrees_with_token_reference_at_every_slice_size(tmp_path, monkeypatch, kind):
     """The same cases, converted in slices of 1 to 16 characters: slices end
-    where a token would be cut, between \\r and \\n, after \\x85, \\u2028 or
-    \\u3000, at blank lines and at an end of file with no line end."""
+    where a token would be cut, after \\x85, \\u2028 or \\u3000, at blank
+    lines and at an end of file with no line end.  The text the reader
+    slices has every line end as \\n, so no slice ends inside a \\r\\n."""
     _, parse, reference = _PARSERS[kind]
     path = str(tmp_path / f"{kind}.txt")
-    pieces = []  # the slices of one parse, in order
-    lines = cli._lines
-    monkeypatch.setattr(cli, "_lines", lambda piece: pieces.append(piece) or lines(piece))
+    cuts = []  # (text, end) of each slice of one parse, in order
+    space = cli._SPACE
+
+    class Spy:
+        def search(self, text, pos):
+            m = space.search(text, pos)
+            cuts.append((text, m.end() if m else len(text)))
+            return m
+
+    monkeypatch.setattr(cli, "_SPACE", Spy())
     seams = set()  # (last character of a slice, first character of the next)
+    crs = 0  # cases whose file has a \r
     for seed in range(800):
         data = _case(kind, seed)
+        crs += b"\r" in data
         with open(path, "wb") as f:
             f.write(data)
         want = _outcome(reference, path)
         for size in range(1, 17):
             monkeypatch.setattr(cli, "_SLICE", size)
-            pieces.clear()
+            cuts.clear()
             assert _outcome(parse, path) == want, f"seed {seed}, slice {size}: {data!r}"
-            seams.update((a[-1], b[0]) for a, b in zip(pieces, pieces[1:]))
-            if pieces and not pieces[-1][-1].isspace():
-                seams.add((pieces[-1][-1], None))
-    ends = {a for a, _ in seams}
-    assert {"\r", "\x85", "\u2028", "\u3000"} <= ends
-    assert ("\r", "\n") in seams
-    assert {("\n", "\n"), ("\n", "\r")} & seams  # a slice starts a blank line
-    assert any(b is None for _, b in seams)  # a last slice with no line end
+            assert not any("\r" in text for text, _ in cuts)
+            for text, end in cuts:
+                seams.add((text[end - 1], text[end] if end < len(text) else None))
+    assert crs > 100
+    ends = {a for a, b in seams if b is not None}
+    assert {"\x85", "\u2028", "\u3000"} <= ends
+    assert ("\n", "\n") in seams  # a slice starts a blank line
+    assert any(b is None and not a.isspace() for a, b in seams)  # no final line end
 
 
 class TestLargeFiles:
@@ -644,21 +661,25 @@ class TestLargeFiles:
         col = 2 * (10**6 - 1) + 1
         assert capsys.readouterr().err == f"error: {path}:1:{col}: not an integer: 'x'\n"
 
+    # a CRLF file is also read, through a copy of its text with \n ends
+    ENDS = ["\n", "\r\n"]
+
     def test_string_file(self, tmp_path):
         path = tmp_path / "s.txt"
         text = pattern_file_text(gen_random_string(self.LABELS, 1000, 1))
-        path.write_text(text)
-        peak, error = self.peak(parse_pattern_file, path)
-        assert error is None and peak < 12 * self.MB
         cut = text.rindex(" ") + 1
-        path.write_text(text[:cut] + "x\n")
-        peak, error = self.peak(parse_pattern_file, path)
-        assert str(error) == f"{path}:1:{cut + 1}: not an integer: 'x'"
-        assert peak < 12 * self.MB
+        for end in self.ENDS:
+            path.write_bytes(text.replace("\n", end).encode())
+            peak, error = self.peak(parse_pattern_file, path)
+            assert error is None and peak < 12 * self.MB
+            path.write_bytes((text[:cut] + "x" + end).encode())
+            peak, error = self.peak(parse_pattern_file, path)
+            assert str(error) == f"{path}:1:{cut + 1}: not an integer: 'x'"
+            assert peak < 12 * self.MB
 
     def test_tree_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
-        path.write_text(tree_file_text(gen_random_tree(self.NODES, 1000, 1)))
+        text = tree_file_text(gen_random_tree(self.NODES, 1000, 1))
         parse_peaks = []
 
         def build(edges):
@@ -666,10 +687,13 @@ class TestLargeFiles:
             return build_tree(edges)
 
         monkeypatch.setattr(cli, "build_tree", build)
-        peak, error = self.peak(parse_tree_file, path)
-        assert error is None
-        assert parse_peaks[0] < 12 * self.MB
-        assert peak < 14.5 * self.MB
+        for end in self.ENDS:
+            path.write_bytes(text.replace("\n", end).encode())
+            parse_peaks.clear()
+            peak, error = self.peak(parse_tree_file, path)
+            assert error is None
+            assert parse_peaks[0] < 12 * self.MB
+            assert peak < 14.5 * self.MB
 
 
 class TestMatchCommands:
@@ -794,6 +818,22 @@ class TestGenAndBenchCommands:
         assert main(["gen", "adversarial", "--height", "2"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, size, parse",
+        [
+            ("string", "--length", parse_pattern_file),
+            ("tree", "--nodes", parse_tree_file),
+            ("dag", "--vertices", parse_dag_file),
+        ],
+        ids=["string", "tree", "dag"],
+    )
+    def test_gen_random_at_alphabet_cap_parses_back(self, tmp_path, kind, size, parse):
+        # labels drawn from 1..2^63-1 are signed 64-bit integers
+        out = str(tmp_path / "out.txt")
+        args = ["gen", f"random-{kind}", size, "40", "--alphabet", str(2**63 - 1)]
+        assert main([*args, "--out", out]) == 0
+        parse(out)
+
     @pytest.mark.parametrize("height", ["25", "100000"])
     def test_gen_adversarial_refuses_height_above_cap(self, tmp_path, capsys, height):
         out = tmp_path / "a.txt"
@@ -847,6 +887,14 @@ class TestGenAndBenchCommands:
              "density must lie in [0, 1]"),
             (["random-dag", "--vertices", "5", "--alphabet", "0"],
              "alphabet size must be at least 1"),
+            (["random-string", "--length", "4", "--alphabet", str(2**63)],
+             "alphabet size must be at most 9223372036854775807"),
+            (["random-string", "--length", "4", "--alphabet", str(10**20)],
+             "alphabet size must be at most 9223372036854775807"),
+            (["random-tree", "--nodes", "4", "--alphabet", str(2**63)],
+             "alphabet size must be at most 9223372036854775807"),
+            (["random-dag", "--vertices", "5", "--alphabet", str(2**63)],
+             "alphabet size must be at most 9223372036854775807"),
         ],
         ids=[
             "string-length",
@@ -857,6 +905,10 @@ class TestGenAndBenchCommands:
             "dag-vertex-cap",
             "dag-density",
             "dag-alphabet",
+            "string-alphabet-cap",
+            "string-alphabet-far-past-cap",
+            "tree-alphabet-cap",
+            "dag-alphabet-cap",
         ],
     )
     def test_gen_random_rejects_bad_params(self, tmp_path, capsys, args, message):

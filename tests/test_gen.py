@@ -134,9 +134,14 @@ class TestRandomGenerators:
             (gen_random_string, (-1, 0, 0), "length cannot be negative"),
             (gen_random_string, (0, 0, 0), "alphabet size must be at least 1"),
             (gen_random_string, (5, -2, 0), "alphabet size must be at least 1"),
+            (gen_random_string, (5, 2**63, 0), "alphabet size must be at most 9223372036854775807"),
+            (gen_random_string, (5, 10**20, 0), "alphabet size must be at most 9223372036854775807"),
+            (gen_random_string, (-1, 2**63, 0), "length cannot be negative"),
             (gen_random_tree, (0, 5, 0), "node count must be at least 1"),
             (gen_random_tree, (0, 0, 0), "node count must be at least 1"),
             (gen_random_tree, (1, 0, 0), "alphabet size must be at least 1"),
+            (gen_random_tree, (4, 2**63, 0), "alphabet size must be at most 9223372036854775807"),
+            (gen_random_tree, (0, 2**63, 0), "node count must be at least 1"),
             (gen_random_dag, (0, 0.5, 5, 0), "vertex count must be at least 1"),
             (gen_random_dag, (0, 2.0, 0, 0), "vertex count must be at least 1"),
             (gen_random_dag, (4097, 0.5, 5, 0), "vertex count must be at most 4096"),
@@ -146,15 +151,22 @@ class TestRandomGenerators:
             (gen_random_dag, (3, float("nan"), 5, 0), "density must lie in [0, 1]"),
             (gen_random_dag, (3, 1.5, 0, 0), "density must lie in [0, 1]"),
             (gen_random_dag, (3, 1.0, 0, 0), "alphabet size must be at least 1"),
+            (gen_random_dag, (3, 0.5, 2**63, 0), "alphabet size must be at most 9223372036854775807"),
+            (gen_random_dag, (3, 1.5, 2**63, 0), "density must lie in [0, 1]"),
         ],
         ids=[
             "string-negative-length",
             "string-length-before-alphabet",
             "string-empty-zero-alphabet",
             "string-negative-alphabet",
+            "string-alphabet-above-int64",
+            "string-alphabet-far-above-int64",
+            "string-length-before-alphabet-cap",
             "tree-no-nodes",
             "tree-nodes-before-alphabet",
             "tree-zero-alphabet",
+            "tree-alphabet-above-int64",
+            "tree-nodes-before-alphabet-cap",
             "dag-no-vertices",
             "dag-vertices-before-density",
             "dag-too-many-vertices",
@@ -164,6 +176,8 @@ class TestRandomGenerators:
             "dag-density-nan",
             "dag-density-before-alphabet",
             "dag-zero-alphabet",
+            "dag-alphabet-above-int64",
+            "dag-density-before-alphabet-cap",
         ],
     )
     def test_bad_argument_raises_with_message(self, gen, args, message):
