@@ -10,6 +10,7 @@ branch points while the pruned matcher cuts each chain after two steps.
 
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .dag import TextDag, build_dag
 from .tree import TextTree, build_tree
@@ -64,24 +65,49 @@ def _check_alphabet(sigma: int) -> None:
         raise ValueError("alphabet size must be at most 9223372036854775807")
 
 
+# The draw rule: on CPython 3.10-3.12, Random.randint(1, sigma) is
+# 1 + randrange(sigma), and randrange(b) takes k = b.bit_length() bits from
+# getrandbits, drawing again while the draw is >= b.  The generators take
+# these draws from the seeded getrandbits themselves, in the same order, so
+# a seed gives what randint/randrange calls give it, without three Python
+# frames per label.
+
+
 def gen_random_string(n: int, sigma: int, seed: int) -> tuple[int, ...]:
-    """Uniform characters from 1..sigma; deterministic for a fixed seed."""
+    """Uniform characters from 1..sigma; deterministic for a fixed seed.
+
+    Each character is 1 + a draw below sigma by the draw rule above, so a
+    seed gives the string that ``randint(1, sigma)`` calls give it.
+    """
     if n < 0:
         raise ValueError("length cannot be negative")
     _check_alphabet(sigma)
-    rng = random.Random(seed)
-    return tuple(rng.randint(1, sigma) for _ in range(n))
+    draws = map(random.Random(seed).getrandbits, repeat(sigma.bit_length()))
+    return tuple(map((1).__add__, islice(filter(sigma.__gt__, draws), n)))
 
 
 def gen_random_tree(n: int, sigma: int, seed: int) -> TextTree:
-    """Attach node i to a uniformly chosen earlier node; labels 1..sigma."""
+    """Attach node i to a uniformly chosen earlier node; labels 1..sigma.
+
+    Node i draws its parent below i, then its label below sigma, by the
+    draw rule above, so a seed gives the tree that ``randrange(i)`` and
+    ``randint(1, sigma)`` calls give it.
+    """
     if n < 1:
         raise ValueError("node count must be at least 1")
     _check_alphabet(sigma)
-    rng = random.Random(seed)
-    edges = [
-        (rng.randrange(i), i, rng.randint(1, sigma)) for i in range(1, n)
-    ]
+    bits = random.Random(seed).getrandbits
+    k = sigma.bit_length()
+    edges = []
+    for i in range(1, n):
+        ki = i.bit_length()
+        parent = bits(ki)
+        while parent >= i:
+            parent = bits(ki)
+        lab = bits(k)
+        while lab >= sigma:
+            lab = bits(k)
+        edges.append((parent, i, lab + 1))
     return build_tree(edges)
 
 
@@ -89,7 +115,10 @@ def gen_random_dag(v: int, density: float, sigma: int, seed: int) -> TextDag:
     """Independent forward edges i -> j (i < j), acyclic by construction.
     A draw per vertex pair makes the work quadratic in v, so vertex counts
     above 4096 are refused before anything is drawn; at 4096 and density
-    0.2 the DAG already has about 1.7 million edges."""
+    0.2 the DAG already has about 1.7 million edges.  Each pair draws
+    ``random()`` and, below the density, a label by the draw rule above, so
+    a seed gives the DAG that ``random()`` and ``randint(1, sigma)`` calls
+    give it."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if v > 4096:
@@ -98,9 +127,15 @@ def gen_random_dag(v: int, density: float, sigma: int, seed: int) -> TextDag:
         raise ValueError("density must lie in [0, 1]")
     _check_alphabet(sigma)
     rng = random.Random(seed)
+    bits = rng.getrandbits
+    draw = rng.random
+    k = sigma.bit_length()
     edges = []
     for i in range(v):
         for j in range(i + 1, v):
-            if rng.random() < density:
-                edges.append((i, rng.randint(1, sigma), j))
+            if draw() < density:
+                lab = bits(k)
+                while lab >= sigma:
+                    lab = bits(k)
+                edges.append((i, lab + 1, j))
     return build_dag(v, edges)

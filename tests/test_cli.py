@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, and exit codes."""
 
 import argparse
+import os
 import random
 import re
 import subprocess
@@ -1050,10 +1051,15 @@ def test_console_script_entry_point(tmp_path):
     t = tmp_path / "t.txt"
     p.write_text(WORKED_PATTERN)
     t.write_text(WORKED_TEXT)
+    # the child imports oppm from where this test did, installed or not
+    path = [str(Path(oppm.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
     proc = subprocess.run(
         [sys.executable, "-m", "oppm.cli", "match-string", str(p), str(t)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "5\n"

@@ -1,9 +1,12 @@
 """Generators: adversarial family invariants and seeded determinism."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oppm.dag import build_dag
 from oppm.gen import (
     gen_adversarial,
     gen_random_dag,
@@ -12,6 +15,7 @@ from oppm.gen import (
 )
 from oppm.oracles import naive_match_tree
 from oppm.pattern import build_pattern_tables
+from oppm.tree import build_tree
 from oppm.treematch import match_tree
 from test_tree import children
 
@@ -184,3 +188,69 @@ class TestRandomGenerators:
         with pytest.raises(ValueError) as info:
             gen(*args)
         assert str(info.value) == message
+
+
+# The generators' earlier bodies, which drew through randint / randrange /
+# random.  The generators now take the same draws from getrandbits; these
+# tests pin their outputs to the earlier ones, so a change to the stdlib's
+# draw rule on some Python version fails here instead of changing outputs.
+
+
+def _ref_string(n, sigma, seed):
+    rng = random.Random(seed)
+    return tuple(rng.randint(1, sigma) for _ in range(n))
+
+
+def _ref_tree(n, sigma, seed):
+    rng = random.Random(seed)
+    edges = [
+        (rng.randrange(i), i, rng.randint(1, sigma)) for i in range(1, n)
+    ]
+    return build_tree(edges)
+
+
+def _ref_dag(v, density, sigma, seed):
+    rng = random.Random(seed)
+    edges = []
+    for i in range(v):
+        for j in range(i + 1, v):
+            if rng.random() < density:
+                edges.append((i, rng.randint(1, sigma), j))
+    return build_dag(v, edges)
+
+
+SIGMAS = [1, 2, 3, 5, 100, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1]
+SEEDS = [0, 7, 2**40 + 3]
+
+
+class TestSameOutputAsRandintDraws:
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_string(self, sigma, seed):
+        for n in (0, 1, 7, 1000):
+            assert gen_random_string(n, sigma, seed) == _ref_string(n, sigma, seed)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tree(self, sigma, seed):
+        # == compares node_count, parent, edge_label and the derived shape
+        for n in (1, 2, 50, 3000):
+            assert gen_random_tree(n, sigma, seed) == _ref_tree(n, sigma, seed)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dag(self, sigma, seed):
+        # == compares the vertex count and the edge tuples in order
+        for density in (0.0, 0.3, 1.0):
+            assert gen_random_dag(40, density, sigma, seed) == _ref_dag(40, density, sigma, seed)
+
+    @given(
+        st.integers(0, 30),
+        st.one_of(st.integers(1, 20), st.integers(1, 2**63 - 1)),
+        st.integers(0, 2**64),
+    )
+    def test_small_sizes(self, n, sigma, seed):
+        assert gen_random_string(n, sigma, seed) == _ref_string(n, sigma, seed)
+        assert gen_random_tree(n + 1, sigma, seed) == _ref_tree(n + 1, sigma, seed)
+        density = (seed % 11) / 10
+        assert gen_random_dag(n + 1, density, sigma, seed) == _ref_dag(n + 1, density, sigma, seed)
