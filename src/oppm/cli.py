@@ -21,13 +21,10 @@ from itertools import chain, islice
 from .dag import DagValidationError, TextDag, build_dag, build_dasg, match_dag, opsm
 from .gen import gen_adversarial, gen_random_dag, gen_random_string, gen_random_tree
 from .oracles import OPSM_TEXT_LIMIT, naive_match_string, naive_match_tree, naive_opsm
-from .pattern import build_pattern_tables
+from .pattern import INT64_MAX, INT64_MIN, build_pattern_tables
 from .stringmatch import match_string
 from .tree import TextTree, TreeValidationError, build_tree
 from .treematch import match_tree
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 
 # size caps for --oracle reroutes; the brute-force paths are quadratic
 # (strings, trees) or exponential (opsm, capped by OPSM_TEXT_LIMIT)

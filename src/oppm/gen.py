@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .dag import TextDag, build_dag
+from .pattern import INT64_MAX
 from .tree import TextTree, build_tree
 
 
@@ -20,8 +21,6 @@ from .tree import TextTree, build_tree
 class AdversarialInstance:
     tree: TextTree
     pattern: tuple[int, ...]
-    h: int
-    m: int
 
 
 def gen_adversarial(h: int, m: int) -> AdversarialInstance:
@@ -51,9 +50,7 @@ def gen_adversarial(h: int, m: int) -> AdversarialInstance:
             lab = 0
         edges.append(((child - 1) // 2, child, lab))
     tree = build_tree(edges)
-    return AdversarialInstance(
-        tree=tree, pattern=tuple(range(2, m + 2)), h=h, m=m
-    )
+    return AdversarialInstance(tree=tree, pattern=tuple(range(2, m + 2)))
 
 
 def _check_alphabet(sigma: int) -> None:
@@ -61,8 +58,8 @@ def _check_alphabet(sigma: int) -> None:
     integer for the files the generators write to parse back."""
     if sigma < 1:
         raise ValueError("alphabet size must be at least 1")
-    if sigma > 2**63 - 1:
-        raise ValueError("alphabet size must be at most 9223372036854775807")
+    if sigma > INT64_MAX:
+        raise ValueError(f"alphabet size must be at most {INT64_MAX}")
 
 
 # The draw rule: on CPython 3.10-3.12, Random.randint(1, sigma) is

@@ -29,6 +29,9 @@ itself.
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class PatternTables:
@@ -37,9 +40,6 @@ class PatternTables:
     values: tuple[int, ...]
     border: tuple[int, ...]
     steps: tuple[tuple[int | None, int | None, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _tight_lower(p: Sequence[int]) -> list[int]:

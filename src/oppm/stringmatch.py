@@ -10,8 +10,8 @@ from .pattern import PatternTables
 class MatchStats:
     """Automaton transition counts from one matching run."""
 
-    goto_count: int = 0
-    fail_count: int = 0
+    goto_count: int
+    fail_count: int
 
 
 def match_string(

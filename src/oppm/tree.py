@@ -10,8 +10,8 @@ reads them in order: ``labels[k]``, ``depths[k]`` and ``heights[k]`` are
 the edge label, depth and subtree height (the length of the longest
 downward path to a leaf) of node ``preorder[k]``.  The parent of position
 k is the last position before it at depth ``depths[k] - 1``, so no parent
-positions are stored.  ``depth`` and ``subtree_height`` give the same
-values by node id; they are derived on first read.
+positions are stored.  ``depth`` gives the depths by node id; it is
+derived on first read.
 
 ``build_tree`` makes no per-node container: it links each node to its
 first child and to its next sibling in two flat arrays and walks those
@@ -49,19 +49,10 @@ class TextTree:
     @cached_property
     def depth(self) -> tuple[int, ...]:
         """Each node's depth, by node id."""
-        return _by_id(self.preorder, self.depths)
-
-    @cached_property
-    def subtree_height(self) -> tuple[int, ...]:
-        """Each node's subtree height, by node id."""
-        return _by_id(self.preorder, self.heights)
-
-
-def _by_id(preorder: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(preorder)
-    for v, x in zip(preorder, table):
-        out[v] = x
-    return tuple(out)
+        out = [0] * self.node_count
+        for v, d in zip(self.preorder, self.depths):
+            out[v] = d
+        return tuple(out)
 
 
 def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:

@@ -17,7 +17,7 @@ and every node below it inherits that mark without a transition.
 Pruning never changes the match set, only the failure-transition count.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .pattern import PatternTables
@@ -29,8 +29,8 @@ from .tree import TextTree
 class TreeMatchReport:
     """Matched node ids (ascending) plus transition counts."""
 
-    matched_nodes: list[int] = field(default_factory=list)
-    stats: MatchStats = field(default_factory=MatchStats)
+    matched_nodes: list[int]
+    stats: MatchStats
 
 
 def match_tree(tables: PatternTables, tree: TextTree, prune: bool = True) -> TreeMatchReport:

@@ -391,31 +391,42 @@ class TestMatchDag:
         assert witness == [0, 1, 2]
 
     def test_matches_exhaustive_path_enumeration(self):
+        # forward DAGs with parallel edges of other labels inserted; then the
+        # same graphs renumbered (ids no longer a topological order) and with
+        # the edge list shuffled, so build_dag's Kahn pass and out-list sort
+        # are searched too
         rng = random.Random(17)
-        for _ in range(150):
+        for k in range(450):
             v = rng.randint(1, 7)
-            dag = gen_random_dag(v, 0.5, 3, rng.randrange(2**30))
+            edges = list(gen_random_dag(v, 0.5, 3, rng.randrange(2**30)).edges)
+            for e in rng.sample(edges, min(len(edges), rng.randint(0, 3))):
+                edges.insert(rng.randint(0, len(edges)), (e[0], rng.randint(1, 3), e[2]))
+            if k % 3:
+                ids = rng.sample(range(v), v)
+                edges = [(ids[u], c, ids[w]) for u, c, w in edges]
+            if k % 3 == 2:
+                rng.shuffle(edges)
             m = rng.randint(1, 4)
             p = [rng.randint(1, 3) for _ in range(m)]
+            # starts ascending, out-edges in (target, label) order: the first
+            # path found is the witness match_dag documents
             adj = [[] for _ in range(v)]
-            for u, c, w in dag.edges:
+            for u, c, w in edges:
                 adj[u].append((w, c))
-            found = []
+            for a in adj:
+                a.sort()
 
-            def walk(u, labels):
+            def walk(path, labels):
                 if len(labels) == m:
-                    found.append(list(labels))
-                    return
-                for w, c in adj[u]:
-                    labels.append(c)
-                    walk(w, labels)
-                    labels.pop()
+                    return path if naive_isomorphic(p, labels) else None
+                for w, c in adj[path[-1]]:
+                    found = walk([*path, w], [*labels, c])
+                    if found:
+                        return found
+                return None
 
-            for s in range(v):
-                walk(s, [])
-            expected = any(naive_isomorphic(p, labels) for labels in found)
-            witness = match_dag(build_pattern_tables(p), dag)
-            assert (witness is not None) == expected
+            expected = next(filter(None, (walk([s], []) for s in range(v))), None)
+            assert match_dag(build_pattern_tables(p), build_dag(v, edges)) == expected
 
     def test_path_dag_agrees_with_string_matching(self):
         # the path graph of t spells only t's windows, and the search tries
@@ -492,7 +503,7 @@ class TestMatchDag:
             assert got[1] <= explored
             saved += explored - got[1]
             sigma = len({c for _, c, _ in dag.edges})
-            bound = dag.vertex_count * (len(tables) + 1) * sigma ** frontier_width(tables.values)
+            bound = dag.vertex_count * (len(tables.values) + 1) * sigma ** frontier_width(tables.values)
             assert got[1] <= bound * max(map(len, dag.out))
         assert saved > 0
 

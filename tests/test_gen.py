@@ -22,15 +22,16 @@ from test_tree import children
 
 class TestAdversarialFamily:
     def test_size_and_pattern(self):
-        inst = gen_adversarial(6, 3)
-        assert inst.tree.node_count == 2**7 - 1
-        assert inst.pattern == (2, 3, 4)
-        assert inst.h == 6 and inst.m == 3
+        for h in range(3, 12):
+            for m in range(1, h - 1):
+                inst = gen_adversarial(h, m)
+                assert inst.tree.node_count == 2 ** (h + 1) - 1
+                assert inst.tree.max_depth == h
+                assert inst.pattern == tuple(range(2, m + 2))
 
     def test_shape_invariants(self):
-        inst = gen_adversarial(6, 4)
-        tree = inst.tree
-        h = inst.h
+        h = 6
+        tree = gen_adversarial(h, 4).tree
         for v in range(1, tree.node_count):
             d = tree.depth[v]
             lab = tree.edge_label[v]

@@ -103,6 +103,11 @@ def compute_subtree_heights(tree: TextTree) -> tuple[int, ...]:
     return tuple(height)
 
 
+def in_preorder(tree: TextTree, by_id) -> tuple[int, ...]:
+    """A by-id table laid out by preorder position, as the search tables are."""
+    return tuple(by_id[v] for v in tree.preorder)
+
+
 class TestBuildTree:
     def test_example_tree(self):
         tree = build_tree(EXAMPLE_EDGES)
@@ -116,12 +121,12 @@ class TestBuildTree:
     def test_single_node(self):
         tree = build_tree([])
         assert tree.node_count == 1
-        assert tree.subtree_height == (0,)
+        assert tree.heights == (0,)
         assert tree.max_depth == 0
 
     def test_two_node_chain(self):
         tree = build_tree([(0, 1, 7)])
-        assert tree.subtree_height == (1, 0)
+        assert tree.heights == (1, 0)
         assert tree.edge_label[1] == 7
 
     def test_duplicate_child_rejected(self):
@@ -148,21 +153,21 @@ class TestBuildTree:
 class TestSubtreeHeights:
     def test_example_tree(self):
         tree = build_tree(EXAMPLE_EDGES)
-        assert tree.subtree_height == (3, 2, 1, 0, 0)
+        assert tree.heights == in_preorder(tree, (3, 2, 1, 0, 0))
         assert compute_subtree_heights(tree) == (3, 2, 1, 0, 0)
 
     def test_star(self):
         tree = build_tree([(0, k, 1) for k in range(1, 6)])
-        assert tree.subtree_height == (1, 0, 0, 0, 0, 0)
+        assert tree.heights == (1, 0, 0, 0, 0, 0)
 
     def test_chain(self):
         tree = build_tree([(i, i + 1, 1) for i in range(4)])
-        assert tree.subtree_height == (4, 3, 2, 1, 0)
+        assert tree.heights == (4, 3, 2, 1, 0)
 
     @given(st.integers(1, 80), st.integers(0, 10**6))
     def test_recomputation_agrees_with_stored(self, n, seed):
         tree = gen_random_tree(n, 5, seed)
-        assert compute_subtree_heights(tree) == tree.subtree_height
+        assert tree.heights == in_preorder(tree, compute_subtree_heights(tree))
 
 
 class TestInvariants:
@@ -170,16 +175,17 @@ class TestInvariants:
     def test_height_recursion_and_depth_bound(self, n, seed):
         tree = gen_random_tree(n, 5, seed)
         kids = children(tree)
+        height = dict(zip(tree.preorder, tree.heights))
         for u in range(tree.node_count):
-            assert tree.subtree_height[u] < tree.node_count
+            assert height[u] < tree.node_count
             if kids[u]:
-                best = max(tree.subtree_height[c] for c in kids[u])
-                assert tree.subtree_height[u] == best + 1
+                best = max(height[c] for c in kids[u])
+                assert height[u] == best + 1
             else:
-                assert tree.subtree_height[u] == 0
-            assert tree.depth[u] + tree.subtree_height[u] <= tree.max_depth
+                assert height[u] == 0
+            assert tree.depth[u] + height[u] <= tree.max_depth
         # the root always sits on a longest root-to-leaf path
-        assert tree.subtree_height[0] == tree.max_depth
+        assert tree.heights[0] == tree.max_depth
 
     @given(st.integers(1, 80), st.integers(0, 10**6))
     def test_child_depths(self, n, seed):
@@ -192,6 +198,7 @@ def assert_same_as_reference(edges):
     tree = build_tree(edges)
     expected = reference_build_tree(edges)
     kids = expected.pop("children")
+    height = expected.pop("subtree_height")
     assert {name: getattr(tree, name) for name in expected} == expected
     # preorder: each node, then its children's subtrees in input order;
     # with parent it fixes the children and their order
@@ -205,7 +212,7 @@ def assert_same_as_reference(edges):
     # the search tables hold the by-id values at each preorder position
     assert tree.labels == tuple(tree.edge_label[v] for v in order)
     assert tree.depths == tuple(tree.depth[v] for v in order)
-    assert tree.heights == tuple(tree.subtree_height[v] for v in order)
+    assert tree.heights == tuple(height[v] for v in order)
 
 
 class TestAgainstReferenceBuild:
@@ -319,8 +326,8 @@ class TestEquality:
         edges = [(0, 2, 1), (0, 1, 1), (1, 3, 2)]
         a, b = build_tree(edges), build_tree(list(edges))
         assert a == b and hash(a) == hash(b)
-        # reading the by-id values caches them on a alone; == and hash stay
-        assert a.depth == (0, 1, 1, 2) and a.subtree_height == (2, 1, 0, 0)
+        # reading the by-id depths caches them on a alone; == and hash stay
+        assert a.depth == (0, 1, 1, 2) and a.heights == (2, 0, 1, 0)
         assert a == b and hash(a) == hash(b)
         assert repr(a) == (
             "TextTree(node_count=4, parent=(-1, 0, 0, 1), edge_label=(0, 1, 1, 2), "

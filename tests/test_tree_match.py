@@ -14,7 +14,7 @@ from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
 from oppm.treematch import TreeMatchReport, match_tree
 from test_dag import increasing_map
-from test_tree import children, permuted_edges, tree_edges
+from test_tree import children, compute_subtree_heights, permuted_edges, tree_edges
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -50,6 +50,7 @@ def reference_match_tree(tables, tree, prune):
     lmax, lmin = compute_lmax_lmin(tables.values)
     border = tables.border
     kids = children(tree)
+    height = compute_subtree_heights(tree)
     path = [0] * tree.max_depth
     state = [0] * tree.node_count
     matched = []
@@ -69,7 +70,7 @@ def reference_match_tree(tables, tree, prune):
         q = state[u]
         pruned = False
         while True:
-            if prune and tree.subtree_height[u] < m - q:
+            if prune and height[u] < m - q:
                 pruned = True
                 break
             a = lmax[q]
@@ -251,7 +252,7 @@ class TestAdversarialCounters:
                 build_pattern_tables(inst.pattern), inst.tree, prune=True
             )
             n = inst.tree.node_count
-            assert report.stats.fail_count <= 4 * (n + inst.m)
+            assert report.stats.fail_count <= 4 * (n + len(inst.pattern))
             assert report.stats.goto_count <= n
 
     def test_unpruned_failures_blow_up(self):
