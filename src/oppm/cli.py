@@ -53,7 +53,9 @@ class ParseError(ValueError):
 # token is split.  A slice's tokens go through int() together and the slice
 # is dropped before the next one is cut, so no list of the file's bytes,
 # lines or tokens lives beside the text and the result.  Line and column are
-# worked out only for an error, from the text position of the fault.
+# worked out only for an error, from the text position of the fault.  A tree
+# file's integers reach build_tree as they are, through a view that reads
+# them three at a time (_Triples), so no tuple per edge lives beside them.
 
 _SLICE = 1 << 16
 
@@ -234,6 +236,27 @@ def parse_pattern_file(path: str) -> tuple[int, ...]:
     return values
 
 
+class _Triples:
+    """The edge lines' ``(a, b, c)`` triples, read off the flat integers:
+    a zip of one iterator with itself, whose tuple lives one loop step."""
+
+    def __init__(self, flat: tuple[int, ...]):
+        self.flat = flat
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __iter__(self):
+        it = iter(self.flat)
+        return zip(it, it, it)
+
+    def __reversed__(self):
+        # from the last triple: every third integer from the end, offset
+        # 2, 1 and 0 for a, b and c
+        flat = self.flat
+        return zip(*(islice(reversed(flat), k, None, 3) for k in (2, 1, 0)))
+
+
 def parse_tree_file(path: str) -> TextTree:
     """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
     f = _Input(path)
@@ -246,10 +269,9 @@ def parse_tree_file(path: str) -> TextTree:
         msg = f"expected {n - 1} edge lines, found {lines}"
         raise f.error(msg, head.start(), column=False)
     f.check(3, "parent child label")
-    edges = list(zip(*[iter(values)] * 3))
-    del values  # the edges hold its integers; build_tree runs without it
+    del f.counts
     try:
-        return build_tree(edges)
+        return build_tree(_Triples(values))
     except TreeValidationError as exc:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
 

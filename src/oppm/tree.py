@@ -13,11 +13,12 @@ k is the last position before it at depth ``depths[k] - 1``, so no parent
 positions are stored.  ``depth`` gives the depths by node id; it is
 derived on first read.
 
-``build_tree`` makes no per-node container: it links each node to its
-first child and to its next sibling in two flat arrays and walks those
-once.
+``build_tree`` takes any sized, reversible collection of edge triples
+and makes no per-node container: it links each node to its first child
+and to its next sibling in two flat arrays and walks those once.
 """
 
+from collections.abc import Reversible
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,7 +26,7 @@ from functools import cached_property
 class TreeValidationError(ValueError):
     """Raised when an edge list does not describe a rooted tree.
 
-    ``edge`` is the index, in the input list, of the offending edge.
+    ``edge`` is the offending edge's index in the input.
     """
 
     def __init__(self, msg: str, edge: int):
@@ -55,9 +56,11 @@ class TextTree:
         return tuple(out)
 
 
-def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
+def build_tree(edges: Reversible[tuple[int, int, int]]) -> TextTree:
     """Build and validate a TextTree from (parent, child, label) triples.
 
+    ``edges`` is read forward, reversed, and forward again only to name
+    an unreachable node's edge; no triple has to outlive its loop step.
     The node count is one more than the number of edges; ids must cover
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
     offending node on a duplicate child, out-of-range ids, or nodes not
@@ -102,6 +105,7 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
                 stack.append((after[v], d))
             v = first[v]
             d += 1
+    del first, after
     if len(preorder) != n:
         reached = set(preorder)
         missing = min(v for v in range(n) if v not in reached)
@@ -124,13 +128,20 @@ def build_tree(edges: list[tuple[int, int, int]]) -> TextTree:
         if h >= tall[d]:
             tall[d] = h + 1
 
+    # each list gives way to its tuple before the next tuple is made
+    labels = tuple(map(label.__getitem__, preorder))
+    label = tuple(label)
+    parent = tuple(parent)
+    preorder = tuple(preorder)
+    depths = tuple(depths)
+    heights = tuple(heights)
     return TextTree(
         node_count=n,
-        parent=tuple(parent),
-        edge_label=tuple(label),
+        parent=parent,
+        edge_label=label,
         max_depth=max_depth,
-        preorder=tuple(preorder),
-        labels=tuple(map(label.__getitem__, preorder)),
-        depths=tuple(depths),
-        heights=tuple(heights),
+        preorder=preorder,
+        labels=labels,
+        depths=depths,
+        heights=heights,
     )

@@ -636,8 +636,9 @@ class TestLargeFiles:
     Python 3.11: the string file 8.6 MB, and 8.6 MB for the fault at its end
     (18.7 and 44.9 MB while the parse kept a list of every token and then
     listed every token of the line to find the fault's column); the tree
-    file 9.7 MB before build_tree and 13.8 MB in all (16.1 MB for both, and
-    15.0 MB in all if the parse keeps its tuple of values during the build)."""
+    file 7.6 MB before build_tree and 8.6 MB in all (9.7 and 13.8 MB while
+    the parse zipped its integers into a list of edge tuples, and 16.1 MB
+    for both while it kept a list of every token)."""
 
     LABELS = 2 * 10**5
     NODES = 5 * 10**4
@@ -693,8 +694,8 @@ class TestLargeFiles:
             parse_peaks.clear()
             peak, error = self.peak(parse_tree_file, path)
             assert error is None
-            assert parse_peaks[0] < 12 * self.MB
-            assert peak < 14.5 * self.MB
+            assert parse_peaks[0] < 9.2 * self.MB
+            assert peak < 10.4 * self.MB
 
 
 class TestMatchCommands:

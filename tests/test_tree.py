@@ -1,6 +1,8 @@
 """Tree construction, validation, and the height/depth bookkeeping."""
 
+import dataclasses
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -305,6 +307,78 @@ class TestValidationAgainstReference:
             j = i if rng.random() < 0.25 else rng.choice([k for k in range(n - 1) if k != i])
             edges = corrupt(corrupt(edges, first, i, rng), second, j, rng)
             self._assert_same_error(edges)
+
+
+class FlatTriples:
+    """A minimal view of edges over their flat integers: sized, iterable
+    again and again, reversible, and nothing else.  Every step overwrites
+    the one triple it hands out, so a build that keeps a triple past its
+    loop step reads the wrong edge."""
+
+    def __init__(self, edges):
+        self.flat = tuple(chain.from_iterable(edges))
+
+    def __len__(self):
+        return len(self.flat) // 3
+
+    def _walk(self, order):
+        triple = [0, 0, 0]
+        for k in order:
+            triple[:] = self.flat[3 * k : 3 * k + 3]
+            yield triple
+
+    def __iter__(self):
+        return self._walk(range(len(self)))
+
+    def __reversed__(self):
+        return self._walk(range(len(self) - 1, -1, -1))
+
+
+FORMS = {"tuple": tuple, "flat view": FlatTriples}
+
+
+def every_field(tree):
+    """All of a TextTree's fields, the tables left out of == included."""
+    return {f.name: getattr(tree, f.name) for f in dataclasses.fields(tree)}
+
+
+class TestEdgeCollections:
+    """A tuple of the edges and a view over their flat integers build the
+    tree, or raise the error, that the list builds."""
+
+    @staticmethod
+    def edge_lists():
+        rng = random.Random(9006)
+        yield []
+        for _ in range(40):
+            n = rng.choice((2, 3, rng.randint(4, 300)))
+            edges = tree_edges(gen_random_tree(n, rng.choice((2, 100)), rng.randrange(2**30)))
+            yield edges
+            yield permuted_edges(edges, rng)
+        for h in (3, 6, 9):
+            edges = tree_edges(gen_adversarial(h, 1).tree)
+            yield edges
+            yield permuted_edges(edges, rng)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_same_tree(self, form):
+        for edges in self.edge_lists():
+            expected = every_field(build_tree(list(edges)))
+            assert every_field(build_tree(FORMS[form](edges))) == expected
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_same_error(self, form, kind):
+        rng = random.Random(f"forms:{kind}")
+        for _ in range(30):
+            n = rng.randint(3, 120)
+            edges = permuted_edges(tree_edges(gen_random_tree(n, 5, rng.randrange(2**30))), rng)
+            edges = corrupt(edges, kind, rng.randrange(n - 1), rng)
+            with pytest.raises(TreeValidationError) as expected:
+                build_tree(edges)
+            with pytest.raises(TreeValidationError) as got:
+                build_tree(FORMS[form](edges))
+            assert (str(got.value), got.value.edge) == (str(expected.value), expected.value.edge)
 
 
 class TestEquality:
