@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cached_property
 from itertools import chain, islice
 
 from .dag import DagValidationError, TextDag, build_dag, build_dasg, match_dag, opsm
@@ -28,8 +29,7 @@ from .treematch import match_tree
 
 # size caps for --oracle reroutes; the brute-force paths are quadratic
 # (strings, trees) or exponential (opsm, capped by OPSM_TEXT_LIMIT)
-ORACLE_STRING_LIMIT = 2048
-ORACLE_TREE_LIMIT = 2048
+ORACLE_LIMIT = 2048
 
 
 class UsageError(Exception):
@@ -53,9 +53,10 @@ class ParseError(ValueError):
 # token is split.  A slice's tokens go through int() together and the slice
 # is dropped before the next one is cut, so no list of the file's bytes,
 # lines or tokens lives beside the text and the result.  Line and column are
-# worked out only for an error, from the text position of the fault.  A tree
-# file's integers reach build_tree as they are, through a view that reads
-# them three at a time (_Triples), so no tuple per edge lives beside them.
+# worked out only for an error, from the text position of the fault.  Both
+# edge formats reach their builder through a view that reads the integers
+# three at a time (_Triples), and the text is let go before the build (a
+# fault on an edge reads it again).
 
 _SLICE = 1 << 16
 
@@ -114,24 +115,26 @@ def _convert(tokens: list[str]) -> list[int] | None:
 
 
 class _Input:
-    """One input file's decoded text.
+    """One input file's decoded text, read on first use and after a del.
 
     ``values(start)`` converts the text from position ``start`` on and
     records the token count of each of its content lines (lines with a
-    token) in ``counts``.  It raises nothing: the caller first checks the
-    number of lines, which is reported before any fault on them, and then
-    ``check`` raises the first fault on them in file order."""
+    token) in ``counts``.  It raises nothing: the caller checks the number
+    of lines first, and then ``check`` raises the first fault on them."""
 
     def __init__(self, path: str):
-        with open(path, "rb") as f:
+        self.path = path
+
+    @cached_property
+    def text(self) -> str:
+        with open(self.path, "rb") as f:
             data = f.read()
         try:
-            self.text = _newlines(data.decode("utf-8"))
+            return _newlines(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             # the bad byte is on the last line of the valid text before it
             valid = _newlines(data[: exc.start].decode("utf-8"))
-            raise ParseError(path, valid.count("\n") + 1, "not valid UTF-8") from None
-        self.path = path
+            raise ParseError(self.path, valid.count("\n") + 1, "not valid UTF-8") from None
 
     def error(self, msg: str, pos: int, column: bool = True) -> ParseError:
         """The error at text position ``pos``: on its line, and with
@@ -139,17 +142,9 @@ class _Input:
         col = pos - self.text.rfind("\n", 0, pos) if column else None
         return ParseError(self.path, self.text.count("\n", 0, pos) + 1, msg, col)
 
-    def integer(self, token: str, pos: int) -> int:
-        """``token``, found at text position ``pos``, as a signed 64-bit
-        integer."""
-        value, fault = _int64(token)
-        if fault is not None:
-            raise self.error(fault, pos)
-        return value
-
-    def header(self, form: str) -> tuple[re.Match, list[int]]:
-        """The first content line, which must read ``form`` (a keyword, then
-        names for the integers that follow it), and those integers."""
+    def header(self, form: str) -> tuple[tuple[int, int], list[int]]:
+        """The span of the first content line, which must read ``form`` (a
+        keyword, then names for the integers after it), and those integers."""
         head = _CONTENT.search(self.text)
         if head is None:
             raise ParseError(self.path, 1, f"missing '{form}' header")
@@ -158,7 +153,13 @@ class _Input:
         tokens = list(islice(tokens, len(words) + 1))
         if tokens[0].group() != words[0] or len(tokens) != len(words):
             raise self.error(f"expected header '{form}'", head.start())
-        return head, [self.integer(m.group(), m.start()) for m in tokens[1:]]
+        values = []
+        for m in tokens[1:]:
+            value, fault = _int64(m.group())
+            if fault is not None:
+                raise self.error(fault, m.start())
+            values.append(value)
+        return head.span(), values
 
     def values(self, start: int) -> tuple[int, ...]:
         """The integers from text position ``start`` on, in file order.  The
@@ -225,6 +226,16 @@ class _Input:
         if msg is not None:
             raise self.error(msg, pos)
 
+    def edges(self, head: tuple[int, int], count: int, what: str) -> "_Triples":
+        """The ``count`` edge lines after ``head``, each ``what``, as triples."""
+        values = self.values(head[1])
+        if len(self.counts) != count:
+            msg = f"expected {count} edge lines, found {len(self.counts)}"
+            raise self.error(msg, head[0], column=False)
+        self.check(3, what)
+        del self.counts, self.text
+        return _Triples(values)
+
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
@@ -262,16 +273,9 @@ def parse_tree_file(path: str) -> TextTree:
     f = _Input(path)
     head, (n,) = f.header("tree N")
     if n < 1:
-        raise f.error("node count must be at least 1", head.start(), column=False)
-    values = f.values(head.end())
-    lines = len(f.counts)
-    if lines != n - 1:
-        msg = f"expected {n - 1} edge lines, found {lines}"
-        raise f.error(msg, head.start(), column=False)
-    f.check(3, "parent child label")
-    del f.counts
+        raise f.error("node count must be at least 1", head[0], column=False)
     try:
-        return build_tree(_Triples(values))
+        return build_tree(f.edges(head, n - 1, "parent child label"))
     except TreeValidationError as exc:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
 
@@ -281,26 +285,20 @@ def parse_dag_file(path: str) -> TextDag:
     f = _Input(path)
     head, (v_count, e_count) = f.header("dag V E")
     if v_count < 1:
-        raise f.error("vertex count must be at least 1", head.start(), column=False)
+        raise f.error("vertex count must be at least 1", head[0], column=False)
     if e_count < 0:
-        raise f.error("edge count cannot be negative", head.start(), column=False)
-    values = f.values(head.end())
-    lines = len(f.counts)
-    if lines != e_count:
-        msg = f"expected {e_count} edge lines, found {lines}"
-        raise f.error(msg, head.start(), column=False)
-    f.check(3, "source target label")
+        raise f.error("edge count cannot be negative", head[0], column=False)
+    # build_dag adds a table entry per vertex to edges already in memory, so
+    # a MemoryError there is the header's V; made while the text is at hand
+    too_large = f.error(f"vertex count {v_count} is too large", head[0], column=False)
     # file lines are 'source target label', DAG edges (source, label, target)
-    edges = list(zip(values[0::3], values[2::3], values[1::3]))
+    edges = [(u, c, v) for u, v, c in f.edges(head, e_count, "source target label")]
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
     except MemoryError:
-        # the edges are in memory already; what build_dag adds is a table
-        # entry per vertex, so it is the header's V that could not be met
-        msg = f"vertex count {v_count} is too large"
-        raise f.error(msg, head.start(), column=False) from None
+        raise too_large from None
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def _match_string(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     t = parse_pattern_file(ns.text)
     if ns.oracle:
-        _oracle_fits(len(t), ORACLE_STRING_LIMIT, "texts of length <= {}")
+        _oracle_fits(len(t), ORACLE_LIMIT, "texts of length <= {}")
         return _match_lines(naive_match_string(p, t))
     positions, stats = match_string(build_pattern_tables(p), t)
     return _match_lines(positions, stats if ns.stats else None)
@@ -372,7 +370,7 @@ def _match_tree(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     tree = parse_tree_file(ns.tree)
     if ns.oracle:
-        _oracle_fits(tree.node_count, ORACLE_TREE_LIMIT, "trees with <= {} nodes")
+        _oracle_fits(tree.node_count, ORACLE_LIMIT, "trees with <= {} nodes")
         return _match_lines(naive_match_tree(p, tree))
     report = match_tree(build_pattern_tables(p), tree, prune=ns.prune)
     return _match_lines(report.matched_nodes, report.stats if ns.stats else None)

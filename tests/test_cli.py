@@ -636,9 +636,13 @@ class TestLargeFiles:
     Python 3.11: the string file 8.6 MB, and 8.6 MB for the fault at its end
     (18.7 and 44.9 MB while the parse kept a list of every token and then
     listed every token of the line to find the fault's column); the tree
-    file 7.6 MB before build_tree and 8.6 MB in all (9.7 and 13.8 MB while
-    the parse zipped its integers into a list of edge tuples, and 16.1 MB
-    for both while it kept a list of every token)."""
+    file 7.6 MB before build_tree and 7.9 MB in all, with 5.0 MB live as
+    build_tree starts (8.6 MB in all and 5.7 MB live while the parse kept
+    the file's text through build_tree, 9.7 and 13.8 MB while it zipped its
+    integers into a list of edge tuples, and 16.1 MB for both while it kept
+    a list of every token); the 41 547-edge DAG file 5.3 MB (6.9 MB while
+    the parse kept the text, the flat integers and the line tallies through
+    build_dag)."""
 
     LABELS = 2 * 10**5
     NODES = 5 * 10**4
@@ -682,20 +686,31 @@ class TestLargeFiles:
     def test_tree_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
         text = tree_file_text(gen_random_tree(self.NODES, 1000, 1))
-        parse_peaks = []
+        at_build = []
 
         def build(edges):
-            parse_peaks.append(tracemalloc.get_traced_memory()[1])
+            at_build.append(tracemalloc.get_traced_memory())
             return build_tree(edges)
 
         monkeypatch.setattr(cli, "build_tree", build)
         for end in self.ENDS:
             path.write_bytes(text.replace("\n", end).encode())
-            parse_peaks.clear()
+            at_build.clear()
             peak, error = self.peak(parse_tree_file, path)
             assert error is None
-            assert parse_peaks[0] < 9.2 * self.MB
+            live, parse_peak = at_build[0]
+            assert live < 5.4 * self.MB
+            assert parse_peak < 9.2 * self.MB
             assert peak < 10.4 * self.MB
+
+    def test_dag_file(self, tmp_path):
+        path = tmp_path / "d.dag"
+        text = dag_file_text(build_dasg(gen_random_string(300, 1000, 5)))
+        for end in self.ENDS:
+            path.write_bytes(text.replace("\n", end).encode())
+            peak, error = self.peak(parse_dag_file, path)
+            assert error is None
+            assert peak < 6.6 * self.MB
 
 
 class TestMatchCommands:

@@ -17,7 +17,7 @@ from oppm.dag import (
     match_dag_explored,
     opsm,
 )
-from oppm.gen import gen_random_dag
+from oppm.gen import gen_random_dag, gen_random_string
 from oppm.oracles import OPSM_TEXT_LIMIT, is_subsequence, naive_isomorphic, naive_opsm
 from oppm.pattern import build_pattern_tables, compute_lmax_lmin
 from oppm.stringmatch import match_string
@@ -541,6 +541,64 @@ class TestMatchDag:
                 witness, explored = match_dag_explored(tables, dag, starts=starts)
                 assert witness is None
                 assert explored <= bound
+
+
+class TestTiedPatternFamily:
+    """A search-cost family that is not monotone: the tied pattern below
+    against near-distinct labels, searched from v_0 as opsm does.  The
+    memo helps less here than on organ pipes, so a change to the search's
+    order or memo shows as a diff of these pins."""
+
+    P = (4, 7, 8, 1, 6, 4, 8)
+    SEEDS = (2, 3, 4)
+    # explored edges per n, for seeds 2, 3 and 4; every answer is "no"
+    EXPLORED = {
+        20: (660, 1545, 1252),
+        40: (23437, 39537, 45251),
+        60: (251894, 359563, 306161),
+    }
+    REFERENCE = {40: (29907, 58985, 63078), 60: (472054, 686298, 610736)}
+    # labels planted at fixed positions so that p op-matches at n = 60
+    PLANT = {1: 100, 4: 300, 6: 500, 7: 700, 8: 900}
+    POSITIONS = (5, 14, 23, 31, 40, 48, 57)
+    PLANTED = {
+        2: ([0, 6, 8, 24, 32, 45, 49, 58], 31606),
+        3: ([0, 6, 7, 24, 30, 36, 49, 58], 171978),
+        4: ([0, 6, 11, 24, 26, 40, 49, 58], 128930),
+    }
+
+    def search(self, t):
+        tables = build_pattern_tables(self.P)
+        dag = build_dasg(t)
+        got = match_dag_explored(tables, dag, starts=(0,))
+        return got, reference_match_dag_explored(tables, dag, starts=(0,))
+
+    def test_explored_pinned_and_growing_on_no_instances(self):
+        for k, s in enumerate(self.SEEDS):
+            for n, counts in self.EXPLORED.items():
+                t = gen_random_string(n, 1000, s)
+                got, (witness, explored) = self.search(t)
+                assert got == (None, counts[k])
+                assert witness is None
+                if n in self.REFERENCE:
+                    assert explored == self.REFERENCE[n][k]
+                assert opsm(self.P[::-1], t[::-1]) is False
+                if n == 20:
+                    assert naive_opsm(self.P, t) is False
+            assert self.EXPLORED[20][k] < self.EXPLORED[40][k] < self.EXPLORED[60][k]
+
+    def test_planted_match_pinned(self):
+        for s, (witness, count) in self.PLANTED.items():
+            t = list(gen_random_string(60, 1000, s))
+            for i, x in zip(self.POSITIONS, self.P):
+                t[i] = self.PLANT[x]
+            got, reference = self.search(t)
+            assert got == (witness, count)
+            assert reference[0] == witness
+            labels = [t[v - 1] for v in witness[1:]]
+            assert naive_isomorphic(self.P, labels)
+            assert is_subsequence(labels, t)
+            assert opsm(self.P[::-1], t[::-1]) is True
 
 
 class TestOpsm:

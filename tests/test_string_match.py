@@ -5,7 +5,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oppm.cli import ORACLE_STRING_LIMIT
+from oppm.cli import ORACLE_LIMIT
 from oppm.gen import gen_random_string
 from oppm.oracles import naive_isomorphic, naive_match_string
 from oppm.pattern import build_pattern_tables, compute_lmax_lmin
@@ -139,7 +139,7 @@ def test_positions_and_counters_equal_reference_loop():
 
 class TestPastOracleLimit:
     """Relations that need no oracle, on texts of 10^5 labels, far past
-    ORACLE_STRING_LIMIT: the matcher only compares labels, a window read
+    ORACLE_LIMIT: the matcher only compares labels, a window read
     backwards is a window of the reversed text, and a chain tree's root
     paths are the string's prefixes."""
 
@@ -158,7 +158,7 @@ class TestPastOracleLimit:
     def test_increasing_map_keeps_positions_and_counters(self):
         rng = random.Random(1702)
         for p, t in self.cases():
-            assert len(t) > ORACLE_STRING_LIMIT
+            assert len(t) > ORACLE_LIMIT
             found = match_string(build_pattern_tables(p), t)
             f = increasing_map(rng, [*p, *t])
             assert min(f.values()) == -(2**63) and max(f.values()) == 2**63 - 1

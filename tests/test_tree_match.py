@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oppm.cli import ORACLE_TREE_LIMIT
+from oppm.cli import ORACLE_LIMIT
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
 from oppm.oracles import naive_isomorphic, naive_match_tree
 from oppm.pattern import PatternTables, build_pattern_tables, compute_lmax_lmin
@@ -309,7 +309,7 @@ def window(tree: TextTree, v: int, m: int) -> list[int]:
 
 class TestPastOracleLimit:
     """Relations that need no oracle, on random trees of 2*10^4 nodes, far
-    past ORACLE_TREE_LIMIT: the matcher only compares labels."""
+    past ORACLE_LIMIT: the matcher only compares labels."""
 
     N = 2 * 10**4
 
@@ -326,7 +326,7 @@ class TestPastOracleLimit:
     def test_increasing_map_keeps_matches_and_counters(self):
         rng = random.Random(1712)
         for p, tree in self.cases():
-            assert tree.node_count > ORACLE_TREE_LIMIT
+            assert tree.node_count > ORACLE_LIMIT
             f = increasing_map(rng, [*p, *tree.edge_label[1:]])
             assert min(f.values()) == -(2**63) and max(f.values()) == 2**63 - 1
             mapped = build_tree([(u, v, f[c]) for u, v, c in tree_edges(tree)])
