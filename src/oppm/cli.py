@@ -47,16 +47,17 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# A file is read and decoded once, every line end made \n (_newlines).  Its
-# body (the text after a tree or DAG header) is converted in slices of about
-# _SLICE characters, each cut just after a whitespace character so that no
-# token is split.  A slice's tokens go through int() together and the slice
-# is dropped before the next one is cut, so no list of the file's bytes,
-# lines or tokens lives beside the text and the result.  Line and column are
-# worked out only for an error, from the text position of the fault.  Both
-# edge formats reach their builder through a view that reads the integers
-# three at a time (_Triples), and the text is let go before the build (a
-# fault on an edge reads it again).
+# A file is read once, in text mode, _SLICE characters at a time; text mode
+# decodes UTF-8 and makes every line end \n, across reads too.  The text is
+# cut into slices of about _SLICE characters, each just after a whitespace
+# character so that no token is split, and a slice's tokens go through int()
+# together.  A tree or DAG header is taken off the first slices, and the
+# rest are the body.  A slice is dropped before the next one is cut, so
+# neither the whole text nor a list of the file's lines or tokens lives
+# beside the result.  Positions are kept in the whole text, which is read
+# only to find the line and column of a fault (a UTF-8 fault comes first).
+# Both edge formats reach their builder through a view that reads the
+# integers three at a time (_Triples).
 
 _SLICE = 1 << 16
 
@@ -64,16 +65,6 @@ _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 _TOKEN = re.compile(r"\S+")
 # a content line (a line with a token), from its first token to its end
 _CONTENT = re.compile(r"\S[^\n]*")
-
-
-def _newlines(text: str) -> str:
-    """``text`` with every line end as \\n, as text-mode file reading gives
-    it: only \\n, \\r\\n and a lone \\r end a line (str.splitlines also
-    breaks at \\x0b, \\x85, \\u2028 and others, which here only separate
-    tokens)."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 # what int() accepts as a base-10 token: Unicode decimal digits, single
@@ -115,26 +106,55 @@ def _convert(tokens: list[str]) -> list[int] | None:
 
 
 class _Input:
-    """One input file's decoded text, read on first use and after a del.
-
-    ``values(start)`` converts the text from position ``start`` on and
-    records the token count of each of its content lines (lines with a
-    token) in ``counts``.  It raises nothing: the caller checks the number
-    of lines first, and then ``check`` raises the first fault on them."""
+    """One input file, read once, a slice at a time: ``header`` takes the
+    first content line of a tree or DAG file, and ``values`` converts the
+    text after it and records the token count of each of its content lines
+    in ``counts``.  ``values`` raises nothing: the caller checks the number
+    of lines first, and then ``check`` raises the first fault on them.
+    Every error reads ``text`` to locate its fault."""
 
     def __init__(self, path: str):
         self.path = path
+        self.slices = self._slices()
+        self.start = 0  # the text position ``values`` starts at
+
+    def _reads(self):
+        """The text in reads of _SLICE characters, or the error at the line
+        of the first byte that is not valid UTF-8."""
+        try:
+            with open(self.path, encoding="utf-8", newline=None) as f:
+                while read := f.read(_SLICE):
+                    yield read
+        except UnicodeDecodeError:
+            with open(self.path, "rb") as f:
+                data = f.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                data = data[: exc.start]
+            # the bad byte is on the line after the last line end before it
+            valid = data.decode("utf-8")
+            ends = valid.count("\n") + valid.count("\r") - valid.count("\r\n")
+            raise ParseError(self.path, ends + 1, "not valid UTF-8") from None
 
     @cached_property
     def text(self) -> str:
-        with open(self.path, "rb") as f:
-            data = f.read()
-        try:
-            return _newlines(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            # the bad byte is on the last line of the valid text before it
-            valid = _newlines(data[: exc.start].decode("utf-8"))
-            raise ParseError(self.path, valid.count("\n") + 1, "not valid UTF-8") from None
+        """The whole text, read again to locate a fault."""
+        return "".join(self._reads())
+
+    def _slices(self):
+        """The text in slices, each cut just after its first whitespace
+        character from index _SLICE on (the last at the end of the file)."""
+        buf = ""
+        for read in self._reads():
+            buf += read
+            space = _SPACE.search(buf, max(_SLICE, len(buf) - len(read)))
+            while space is not None:
+                yield buf[: space.end()]
+                buf = buf[space.end() :]
+                space = _SPACE.search(buf, _SLICE)
+        if buf:
+            yield buf
 
     def error(self, msg: str, pos: int, column: bool = True) -> ParseError:
         """The error at text position ``pos``: on its line, and with
@@ -142,44 +162,55 @@ class _Input:
         col = pos - self.text.rfind("\n", 0, pos) if column else None
         return ParseError(self.path, self.text.count("\n", 0, pos) + 1, msg, col)
 
-    def header(self, form: str) -> tuple[tuple[int, int], list[int]]:
-        """The span of the first content line, which must read ``form`` (a
-        keyword, then names for the integers after it), and those integers."""
-        head = _CONTENT.search(self.text)
+    def header(self, form: str) -> list[int]:
+        """The integers of the first content line, which must read ``form``
+        (a keyword, then names for the integers after it); ``head`` and
+        ``line`` are then that line's text position and line number."""
+        text, self.line = "", 1  # text: from the first slice with a token on
+        for piece in self.slices:
+            if not text and piece.isspace():
+                self.start += len(piece)
+                self.line += piece.count("\n")
+                continue
+            text += piece
+            if "\n" in piece and _CONTENT.search(text).end() < len(text):
+                break
+        head = _CONTENT.search(text)
         if head is None:
-            raise ParseError(self.path, 1, f"missing '{form}' header")
+            raise self.error(f"missing '{form}' header", 0, column=False)
+        self.head = self.start + head.start()
+        self.line += text.count("\n", 0, head.start())
         words = form.split()
-        tokens = _TOKEN.finditer(self.text, head.start(), head.end())
+        tokens = _TOKEN.finditer(text, head.start(), head.end())
         tokens = list(islice(tokens, len(words) + 1))
         if tokens[0].group() != words[0] or len(tokens) != len(words):
-            raise self.error(f"expected header '{form}'", head.start())
+            raise self.error(f"expected header '{form}'", self.head)
         values = []
         for m in tokens[1:]:
             value, fault = _int64(m.group())
             if fault is not None:
-                raise self.error(fault, m.start())
+                raise self.error(fault, self.start + m.start())
             values.append(value)
-        return head.span(), values
+        # the text after the header line is the next slice
+        self.slices = chain((text[head.end() :],), self.slices)
+        self.start += head.end()
+        return values
 
-    def values(self, start: int) -> tuple[int, ...]:
+    def values(self) -> tuple[int, ...]:
         """The integers from text position ``start`` on, in file order.  The
         first slice with a token that is not a signed 64-bit integer ends the
         conversion, so then the tuple stops short and ``check`` raises."""
-        self.start = start
         self.counts: list[int] = []
         self.bad: int | None = None  # the text position of that slice
-        return tuple(chain.from_iterable(self._slices()))
+        return tuple(chain.from_iterable(self._chunks()))
 
-    def _slices(self):
+    def _chunks(self):
         """The integers of each slice, a list at a time; ``counts`` is
         complete once the generator is."""
-        text, counts = self.text, self.counts
+        counts = self.counts
         carry = 0  # tokens so far on the line the last slice ended in
         pos = self.start
-        while pos < len(text):
-            space = _SPACE.search(text, pos + _SLICE)
-            end = space.end() if space else len(text)
-            piece = text[pos:end]
+        for piece in self.slices:
             tokens = piece.split()
             lines = piece.split("\n")
             if len(lines) == 1:
@@ -195,9 +226,11 @@ class _Input:
                 chunk = _convert(tokens)
                 if chunk is None:
                     self.bad = pos
-                else:
-                    yield chunk
-            pos = end
+            pos += len(piece)
+            # the slice's strings go before the next slice is read
+            del piece, tokens, lines
+            if self.bad is None:
+                yield chunk
         if carry:
             counts.append(carry)
 
@@ -211,36 +244,38 @@ class _Input:
         """Raise the first fault on the lines ``values`` read, in file order:
         a line without ``arity`` tokens ("expected '{what}'", reported before
         the tokens on it), or a token that is not a signed 64-bit integer."""
-        pos, msg = len(self.text), None
+        fault = None  # (text position, message)
         if arity is not None and not set(self.counts) <= {arity}:
             row = next(i for i, count in enumerate(self.counts) if count != arity)
-            pos, msg = self.row(row), f"expected '{what}'"
+            fault = self.row(row), f"expected '{what}'"
         if self.bad is not None:
             # every token before the failed slice converted; walk it lazily,
             # up to the arity fault, which comes before its line's tokens
-            for m in _TOKEN.finditer(self.text, self.bad, pos):
-                fault = _int64(m.group())[1]
-                if fault is not None:
-                    pos, msg = m.start(), fault
+            end = len(self.text) if fault is None else fault[0]
+            for m in _TOKEN.finditer(self.text, self.bad, end):
+                msg = _int64(m.group())[1]
+                if msg is not None:
+                    fault = m.start(), msg
                     break
-        if msg is not None:
-            raise self.error(msg, pos)
+        if fault is not None:
+            raise self.error(fault[1], fault[0])
 
-    def edges(self, head: tuple[int, int], count: int, what: str) -> "_Triples":
-        """The ``count`` edge lines after ``head``, each ``what``, as triples."""
-        values = self.values(head[1])
+    def edges(self, count: int, what: str) -> "_Triples":
+        """The ``count`` edge lines after the header, each ``what``, as
+        triples."""
+        values = self.values()
         if len(self.counts) != count:
             msg = f"expected {count} edge lines, found {len(self.counts)}"
-            raise self.error(msg, head[0], column=False)
+            raise self.error(msg, self.head, column=False)
         self.check(3, what)
-        del self.counts, self.text
+        del self.counts
         return _Triples(values)
 
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
     f = _Input(path)
-    values = f.values(0)
+    values = f.values()
     if len(f.counts) > 1:
         raise f.error("expected a single line of integers", f.row(1))
     f.check()
@@ -271,11 +306,11 @@ class _Triples:
 def parse_tree_file(path: str) -> TextTree:
     """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
     f = _Input(path)
-    head, (n,) = f.header("tree N")
+    (n,) = f.header("tree N")
     if n < 1:
-        raise f.error("node count must be at least 1", head[0], column=False)
+        raise f.error("node count must be at least 1", f.head, column=False)
     try:
-        return build_tree(f.edges(head, n - 1, "parent child label"))
+        return build_tree(f.edges(n - 1, "parent child label"))
     except TreeValidationError as exc:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
 
@@ -283,22 +318,21 @@ def parse_tree_file(path: str) -> TextTree:
 def parse_dag_file(path: str) -> TextDag:
     """Header 'dag V E' and E edge lines; build_dag checks the structure."""
     f = _Input(path)
-    head, (v_count, e_count) = f.header("dag V E")
+    v_count, e_count = f.header("dag V E")
     if v_count < 1:
-        raise f.error("vertex count must be at least 1", head[0], column=False)
+        raise f.error("vertex count must be at least 1", f.head, column=False)
     if e_count < 0:
-        raise f.error("edge count cannot be negative", head[0], column=False)
-    # build_dag adds a table entry per vertex to edges already in memory, so
-    # a MemoryError there is the header's V; made while the text is at hand
-    too_large = f.error(f"vertex count {v_count} is too large", head[0], column=False)
+        raise f.error("edge count cannot be negative", f.head, column=False)
     # file lines are 'source target label', DAG edges (source, label, target)
-    edges = [(u, c, v) for u, v, c in f.edges(head, e_count, "source target label")]
+    edges = [(u, c, v) for u, v, c in f.edges(e_count, "source target label")]
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
     except MemoryError:
-        raise too_large from None
+        # build_dag adds a table entry per vertex to edges already in
+        # memory, so this is the header's V; the error reads no file
+        raise ParseError(path, f.line, f"vertex count {v_count} is too large") from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +384,10 @@ def _oracle_fits(size: int, limit: int, what: str) -> None:
 
 def _match_lines(ids, stats=None) -> str:
     """One id per line, then ``goto=<n> fail=<n>`` if ``stats`` is given."""
-    lines = [str(i) for i in ids]
+    text = "".join(map("{}\n".format, ids))
     if stats is not None:
-        lines.append(f"goto={stats.goto_count} fail={stats.fail_count}")
-    return "".join(line + "\n" for line in lines)
+        text += f"goto={stats.goto_count} fail={stats.fail_count}\n"
+    return text
 
 
 def _match_string(ns: argparse.Namespace) -> str:

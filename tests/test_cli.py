@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -591,39 +592,66 @@ def _case(kind, seed):
     return _render(rng, lines).encode("utf-8")
 
 
+# read seams the random cases seldom give: a token longer than a read,
+# blank lines before a header, and invalid UTF-8 after an earlier fault,
+# which is still the error (at the line given)
+_SEAM_CASES = {
+    "pattern": [
+        (("3 " + "0" * 40 + "7 1\r\n").encode(), None),
+        (("1 " + "9" * 40 + " 2\n").encode(), None),
+        (b"1 x 2\r\n\r\n \xff", 3),
+    ],
+    "tree": [
+        (b"\r\n \n\t\r\r\ntree 3\r\n0 1 5\r\n1 2 6\r\n", None),
+        (b"\n\n  \rtree x\n", None),
+        (b"tree 2\n0 1 x\n\n\xc3", 4),
+    ],
+    "dag": [
+        (("\n\u3000\n\x0c\r\ndag 3 2\n0 1 5\n1 2 " + "0" * 30 + "6").encode(), None),
+        (b"\r\r\r  dag 2 1 1\r0 1 5\r", None),
+        (b"dag 2 x\r\n0 1 5\r\n\xff\xfe", 3),
+    ],
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_PARSERS))
 def test_parser_agrees_with_token_reference_at_every_slice_size(tmp_path, monkeypatch, kind):
-    """The same cases, converted in slices of 1 to 16 characters: slices end
-    where a token would be cut, after \\x85, \\u2028 or \\u3000, at blank
-    lines and at an end of file with no line end.  The text the reader
-    slices has every line end as \\n, so no slice ends inside a \\r\\n."""
+    """The same cases and _SEAM_CASES, read and converted in reads and
+    slices of 1 to 16 characters: slices end where a token would be cut,
+    after \\x85, \\u2028 or \\u3000, at blank lines and at an end of file
+    with no line end, and reads end inside tokens and before a header.
+    Text mode makes every line end \\n, so no slice ends inside a \\r\\n."""
     _, parse, reference = _PARSERS[kind]
     path = str(tmp_path / f"{kind}.txt")
-    cuts = []  # (text, end) of each slice of one parse, in order
-    space = cli._SPACE
+    cuts = []  # the slices of one parse, in order, and None at the end of the file
+    slices = cli._Input._slices
 
-    class Spy:
-        def search(self, text, pos):
-            m = space.search(text, pos)
-            cuts.append((text, m.end() if m else len(text)))
-            return m
+    def spy(self):
+        for piece in slices(self):
+            cuts.append(piece)
+            yield piece
+        cuts.append(None)
 
-    monkeypatch.setattr(cli, "_SPACE", Spy())
+    monkeypatch.setattr(cli._Input, "_slices", spy)
     seams = set()  # (last character of a slice, first character of the next)
     crs = 0  # cases whose file has a \r
-    for seed in range(800):
-        data = _case(kind, seed)
+    cases = [(_case(kind, seed), None) for seed in range(800)]
+    for i, (data, utf8_line) in enumerate(cases + _SEAM_CASES[kind]):
         crs += b"\r" in data
         with open(path, "wb") as f:
             f.write(data)
-        want = _outcome(reference, path)
+        if utf8_line is None:
+            want = _outcome(reference, path)
+        else:
+            want = "error", f"{path}:{utf8_line}: not valid UTF-8"
         for size in range(1, 17):
             monkeypatch.setattr(cli, "_SLICE", size)
             cuts.clear()
-            assert _outcome(parse, path) == want, f"seed {seed}, slice {size}: {data!r}"
-            assert not any("\r" in text for text, _ in cuts)
-            for text, end in cuts:
-                seams.add((text[end - 1], text[end] if end < len(text) else None))
+            assert _outcome(parse, path) == want, f"case {i}, slice {size}: {data!r}"
+            assert not any("\r" in piece for piece in cuts if piece is not None)
+            for piece, after in zip(cuts, cuts[1:]):
+                if piece is not None:
+                    seams.add((piece[-1], after and after[0]))
     assert crs > 100
     ends = {a for a, b in seams if b is not None}
     assert {"\x85", "\u2028", "\u3000"} <= ends
@@ -631,18 +659,42 @@ def test_parser_agrees_with_token_reference_at_every_slice_size(tmp_path, monkey
     assert any(b is None and not a.isspace() for a, b in seams)  # no final line end
 
 
+@pytest.mark.parametrize("size, seam", [(16, 8192), (None, 65536)], ids=["short", "default"])
+def test_decoded_chunks_end_anywhere(tmp_path, monkeypatch, size, seam):
+    """Text mode decodes a file a chunk of bytes at a time: 8192 bytes for
+    short reads, a read's worth at the default size.  A chunk that ends
+    inside a \\r\\n, after a lone \\r, inside a multi-byte character or
+    before a bad byte changes nothing."""
+    if size is not None:
+        monkeypatch.setattr(cli, "_SLICE", size)
+    path = tmp_path / "t.txt"
+    head = b"tree 3\r\n0 1 "
+    tree = "value", build_tree([(0, 1, 5), (1, 2, 6)])
+    tails = [
+        (b"5\r\n1 2 6\r\n", tree),
+        (b"5\r1 2 6\r", tree),
+        ("5\u3000\n1\u20282 6".encode(), tree),
+        (b"5\n1 2\xe3\x80 6\n", ("error", f"{path}:3: not valid UTF-8")),
+    ]
+    for tail, want in tails:
+        for k in range(len(tail) + 1):  # the chunk ends before tail[k]
+            path.write_bytes(head + b"0" * (seam - len(head) - k) + tail)
+            assert _outcome(parse_tree_file, str(path)) == want, (tail, k)
+
+
 class TestLargeFiles:
     """Long lines and the parsers' tracemalloc peaks.  The peaks measured on
-    Python 3.11: the string file 8.6 MB, and 8.6 MB for the fault at its end
-    (18.7 and 44.9 MB while the parse kept a list of every token and then
-    listed every token of the line to find the fault's column); the tree
-    file 7.6 MB before build_tree and 7.9 MB in all, with 5.0 MB live as
-    build_tree starts (8.6 MB in all and 5.7 MB live while the parse kept
-    the file's text through build_tree, 9.7 and 13.8 MB while it zipped its
-    integers into a list of edge tuples, and 16.1 MB for both while it kept
-    a list of every token); the 41 547-edge DAG file 5.3 MB (6.9 MB while
-    the parse kept the text, the flat integers and the line tallies through
-    build_dag)."""
+    Python 3.11: the string file 7.7 MB, and 7.7 MB for the fault at its end
+    (8.6 MB for both while the parse held the whole text, 18.7 and 44.9 MB
+    while it kept a list of every token and then listed every token of the
+    line to find the fault's column); the tree file 7.6 MB before
+    build_tree and 7.9 MB in all, with 5.0 MB live as build_tree starts
+    (8.6 MB in all and 5.7 MB live while the parse kept the file's text
+    through build_tree, 9.7 and 13.8 MB while it zipped its integers into a
+    list of edge tuples, and 16.1 MB for both while it kept a list of every
+    token); the 41 547-edge DAG file 5.1 MB (5.3 MB while the parse held the
+    whole text, 6.9 MB while it kept the text, the flat integers and the
+    line tallies through build_dag)."""
 
     LABELS = 2 * 10**5
     NODES = 5 * 10**4
@@ -683,6 +735,15 @@ class TestLargeFiles:
             assert str(error) == f"{path}:1:{cut + 1}: not an integer: 'x'"
             assert peak < 12 * self.MB
 
+    def test_string_file_is_not_held_whole(self, tmp_path):
+        # read a slice at a time, the text is not held beside the integers
+        path = tmp_path / "s.txt"
+        text = pattern_file_text(gen_random_string(self.LABELS, 1000, 1))
+        for end in self.ENDS:
+            path.write_bytes(text.replace("\n", end).encode())
+            peak, error = self.peak(parse_pattern_file, path)
+            assert error is None and peak < 8.3 * self.MB
+
     def test_tree_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
         text = tree_file_text(gen_random_tree(self.NODES, 1000, 1))
@@ -711,6 +772,79 @@ class TestLargeFiles:
             peak, error = self.peak(parse_dag_file, path)
             assert error is None
             assert peak < 6.6 * self.MB
+
+
+class TestWholeTextReads:
+    """A valid file is read once, a slice at a time; only a fault reads its
+    whole text (``_Input.text``), to locate itself."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The path of each whole-text read, in order."""
+        reads = []
+        text = cli._Input.text
+
+        def spy(self):
+            reads.append(self.path)
+            return text.func(self)
+
+        spied = cached_property(spy)
+        spied.__set_name__(cli._Input, "text")
+        monkeypatch.setattr(cli._Input, "text", spied)
+        return reads
+
+    def test_valid_files_are_not_read_whole(self, tmp_path, capsys, reads):
+        texts = {
+            "p.txt": "2 1 3\n",
+            # a string and a tree file of several slices each
+            "s.txt": pattern_file_text(gen_random_string(10**5, 5, 3)),
+            "t.txt": tree_file_text(gen_random_tree(2 * 10**4, 5, 3)),
+            "d.txt": dag_file_text(build_dasg(gen_random_string(60, 5, 3))),
+        }
+        p, s, t, d = (str(tmp_path / name) for name in texts)
+        commands = [
+            ["match-string", p, s, "--stats"],
+            ["match-tree", p, t, "--stats"],
+            ["match-dag", p, d, "--witness"],
+            ["build-dasg", p],
+        ]
+        outputs = []
+        for end in ["\n", "\r\n", "\r"]:
+            for name, text in texts.items():
+                (tmp_path / name).write_bytes(text.replace("\n", end).encode())
+            assert [main(argv) for argv in commands] == [0] * len(commands)
+            outputs.append(capsys.readouterr().out)
+        assert reads == []
+        assert outputs[0].count("goto=") == 2
+        assert outputs[1] == outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_pattern_file, "1 2\n3\n", "2:1: expected a single line of integers"),
+            (parse_pattern_file, "1 2 x\r\n", "1:5: not an integer: 'x'"),
+            (parse_tree_file, "\n \n", "1: missing 'tree N' header"),
+            (parse_tree_file, "\r\ndag 3 1\n0 1 5\n", "2:1: expected header 'tree N'"),
+            (parse_tree_file, "tree 0\n", "1: node count must be at least 1"),
+            (parse_tree_file, "tree 3\n0 1 5\n", "1: expected 2 edge lines, found 1"),
+            (parse_tree_file, "tree 3\n0 1 5 2\n3 7\n", "2:1: expected 'parent child label'"),
+            (parse_tree_file, "tree 3\n0 1 5\n0 1 6\n", "3: duplicate child 1"),
+            (parse_dag_file, "dag 0 0\n", "1: vertex count must be at least 1"),
+            (parse_dag_file, "\rdag 2 -1\r", "2: edge count cannot be negative"),
+            (parse_dag_file, "dag 2 1\n0 7 1\n", "2: unknown target vertex 7"),
+            (parse_dag_file, f"dag 2 1\n0 1 {2**63}\n",
+             f"2:5: integer out of 64-bit signed range: {2**63}"),
+        ],
+        ids=[
+            "single-line", "bad-token", "missing-header", "bad-header", "node-count",
+            "edge-lines", "arity", "duplicate-child", "vertex-count", "edge-count",
+            "unknown-vertex", "out-of-range",
+        ],
+    )
+    def test_a_fault_reads_the_text_once(self, files, reads, parse, text, message):
+        path = files("f.txt", text)
+        assert _outcome(parse, path) == ("error", f"{path}:{message}")
+        assert reads == [path]
 
 
 class TestMatchCommands:
