@@ -54,8 +54,9 @@ class ParseError(ValueError):
 # together.  A tree or DAG header is taken off the first slices, and the
 # rest are the body.  A slice is dropped before the next one is cut, so
 # neither the whole text nor a list of the file's lines or tokens lives
-# beside the result.  Positions are kept in the whole text, which is read
-# only to find the line and column of a fault (a UTF-8 fault comes first).
+# beside the result.  Each fault is found in the slice that holds it, at a
+# position in the whole text, which is read only to locate a fault; read so,
+# a byte that is not valid UTF-8 is a lone surrogate, and the first fault.
 # Both edge formats reach their builder through a view that reads the
 # integers three at a time (_Triples).
 
@@ -119,28 +120,20 @@ class _Input:
         self.start = 0  # the text position ``values`` starts at
 
     def _reads(self):
-        """The text in reads of _SLICE characters, or the error at the line
-        of the first byte that is not valid UTF-8."""
+        """The text in reads of _SLICE characters, or the error at the first
+        byte that is not valid UTF-8."""
         try:
-            with open(self.path, encoding="utf-8", newline=None) as f:
+            with open(self.path, encoding="utf-8") as f:
                 while read := f.read(_SLICE):
                     yield read
         except UnicodeDecodeError:
-            with open(self.path, "rb") as f:
-                data = f.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                data = data[: exc.start]
-            # the bad byte is on the line after the last line end before it
-            valid = data.decode("utf-8")
-            ends = valid.count("\n") + valid.count("\r") - valid.count("\r\n")
-            raise ParseError(self.path, ends + 1, "not valid UTF-8") from None
+            raise self.error("not valid UTF-8", 0) from None
 
     @cached_property
     def text(self) -> str:
         """The whole text, read again to locate a fault."""
-        return "".join(self._reads())
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+            return f.read()
 
     def _slices(self):
         """The text in slices, each cut just after its first whitespace
@@ -158,29 +151,34 @@ class _Input:
 
     def error(self, msg: str, pos: int, column: bool = True) -> ParseError:
         """The error at text position ``pos``: on its line, and with
-        ``column`` at its column."""
+        ``column`` at its column.  A byte that is not valid UTF-8 comes
+        before every other fault, on its own line."""
+        # surrogateescape's stand-ins for bytes that are not valid UTF-8
+        undecoded = re.search("[\udc80-\udcff]", self.text)
+        if undecoded is not None:
+            msg, pos, column = "not valid UTF-8", undecoded.start(), False
         col = pos - self.text.rfind("\n", 0, pos) if column else None
         return ParseError(self.path, self.text.count("\n", 0, pos) + 1, msg, col)
 
     def header(self, form: str) -> list[int]:
         """The integers of the first content line, which must read ``form``
-        (a keyword, then names for the integers after it); ``head`` and
-        ``line`` are then that line's text position and line number."""
-        text, self.line = "", 1  # text: from the first slice with a token on
+        (a keyword, then names for the integers after it); ``head`` is then
+        that line's text position."""
+        words = form.split()
+        need = len(words) + 1  # tokens still wanted: the form's and one past them
+        text = ""  # from the first slice with a token on
         for piece in self.slices:
             if not text and piece.isspace():
                 self.start += len(piece)
-                self.line += piece.count("\n")
                 continue
             text += piece
-            if "\n" in piece and _CONTENT.search(text).end() < len(text):
+            need -= len(list(islice(_TOKEN.finditer(piece), need)))
+            if not need:
                 break
         head = _CONTENT.search(text)
         if head is None:
             raise self.error(f"missing '{form}' header", 0, column=False)
         self.head = self.start + head.start()
-        self.line += text.count("\n", 0, head.start())
-        words = form.split()
         tokens = _TOKEN.finditer(text, head.start(), head.end())
         tokens = list(islice(tokens, len(words) + 1))
         if tokens[0].group() != words[0] or len(tokens) != len(words):
@@ -201,7 +199,7 @@ class _Input:
         first slice with a token that is not a signed 64-bit integer ends the
         conversion, so then the tuple stops short and ``check`` raises."""
         self.counts: list[int] = []
-        self.bad: int | None = None  # the text position of that slice
+        self.bad: tuple[int, str] | None = None  # its first bad token's fault
         return tuple(chain.from_iterable(self._chunks()))
 
     def _chunks(self):
@@ -225,7 +223,11 @@ class _Input:
             if self.bad is None:
                 chunk = _convert(tokens)
                 if chunk is None:
-                    self.bad = pos
+                    self.bad = next(
+                        (pos + m.start(), msg)
+                        for m in _TOKEN.finditer(piece)
+                        if (msg := _int64(m.group())[1]) is not None
+                    )
             pos += len(piece)
             # the slice's strings go before the next slice is read
             del piece, tokens, lines
@@ -244,19 +246,12 @@ class _Input:
         """Raise the first fault on the lines ``values`` read, in file order:
         a line without ``arity`` tokens ("expected '{what}'", reported before
         the tokens on it), or a token that is not a signed 64-bit integer."""
-        fault = None  # (text position, message)
+        fault = self.bad  # (text position, message)
         if arity is not None and not set(self.counts) <= {arity}:
             row = next(i for i, count in enumerate(self.counts) if count != arity)
-            fault = self.row(row), f"expected '{what}'"
-        if self.bad is not None:
-            # every token before the failed slice converted; walk it lazily,
-            # up to the arity fault, which comes before its line's tokens
-            end = len(self.text) if fault is None else fault[0]
-            for m in _TOKEN.finditer(self.text, self.bad, end):
-                msg = _int64(m.group())[1]
-                if msg is not None:
-                    fault = m.start(), msg
-                    break
+            pos = self.row(row)
+            if fault is None or pos <= fault[0]:
+                fault = pos, f"expected '{what}'"
         if fault is not None:
             raise self.error(fault[1], fault[0])
 
@@ -296,12 +291,6 @@ class _Triples:
         it = iter(self.flat)
         return zip(it, it, it)
 
-    def __reversed__(self):
-        # from the last triple: every third integer from the end, offset
-        # 2, 1 and 0 for a, b and c
-        flat = self.flat
-        return zip(*(islice(reversed(flat), k, None, 3) for k in (2, 1, 0)))
-
 
 def parse_tree_file(path: str) -> TextTree:
     """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
@@ -331,8 +320,9 @@ def parse_dag_file(path: str) -> TextDag:
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
     except MemoryError:
         # build_dag adds a table entry per vertex to edges already in
-        # memory, so this is the header's V; the error reads no file
-        raise ParseError(path, f.line, f"vertex count {v_count} is too large") from None
+        # memory, so this is the header's V
+        msg = f"vertex count {v_count} is too large"
+        raise f.error(msg, f.head, column=False) from None
 
 
 # ---------------------------------------------------------------------------

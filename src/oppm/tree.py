@@ -13,12 +13,12 @@ k is the last position before it at depth ``depths[k] - 1``, so no parent
 positions are stored.  ``depth`` gives the depths by node id; it is
 derived on first read.
 
-``build_tree`` takes any sized, reversible collection of edge triples
-and makes no per-node container: it links each node to its first child
-and to its next sibling in two flat arrays and walks those once.
+``build_tree`` takes any sized collection of edge triples and makes no
+per-node container: as it checks each edge it links the node to its
+parent's children in flat arrays, and then walks those once.
 """
 
-from collections.abc import Reversible
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,11 +56,11 @@ class TextTree:
         return tuple(out)
 
 
-def build_tree(edges: Reversible[tuple[int, int, int]]) -> TextTree:
+def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:
     """Build and validate a TextTree from (parent, child, label) triples.
 
-    ``edges`` is read forward, reversed, and forward again only to name
-    an unreachable node's edge; no triple has to outlive its loop step.
+    ``edges`` is read once, and again only to name an unreachable node's
+    edge; no triple has to outlive its loop step.
     The node count is one more than the number of edges; ids must cover
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
     offending node on a duplicate child, out-of-range ids, or nodes not
@@ -71,6 +71,11 @@ def build_tree(edges: Reversible[tuple[int, int, int]]) -> TextTree:
     n = len(edges) + 1
     parent = [-1] * n
     label = [0] * n
+    # first[u] and last[u] are u's first and last child so far, after[v] the
+    # sibling after v; 0, the root, is nobody's child and means "none"
+    first = [0] * n
+    after = [0] * n
+    last = [0] * n
     for i, (u, v, lab) in enumerate(edges):
         if not 0 <= u < n:
             raise TreeValidationError(f"unknown parent id {u}", i)
@@ -82,14 +87,12 @@ def build_tree(edges: Reversible[tuple[int, int, int]]) -> TextTree:
             raise TreeValidationError(f"duplicate child {v}", i)
         parent[v] = u
         label[v] = lab
-
-    # first[u] is u's first child and after[v] the sibling that follows v,
-    # both in input order; 0, the root, is nobody's child and means "none"
-    first = [0] * n
-    after = [0] * n
-    for u, v, _ in reversed(edges):
-        after[v] = first[u]
-        first[u] = v
+        if last[u]:
+            after[last[u]] = v
+        else:
+            first[u] = v
+        last[u] = v
+    del last
 
     # descend to each node's first child; a sibling still to visit waits on
     # the stack with its depth

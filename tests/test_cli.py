@@ -687,7 +687,9 @@ class TestLargeFiles:
     Python 3.11: the string file 7.7 MB, and 7.7 MB for the fault at its end
     (8.6 MB for both while the parse held the whole text, 18.7 and 44.9 MB
     while it kept a list of every token and then listed every token of the
-    line to find the fault's column); the tree file 7.6 MB before
+    line to find the fault's column); a 10^6-label string file given as a
+    tree 6.2 MB for its header fault (8.8 MB while the header read its
+    whole first line); the tree file 7.6 MB before
     build_tree and 7.9 MB in all, with 5.0 MB live as build_tree starts
     (8.6 MB in all and 5.7 MB live while the parse kept the file's text
     through build_tree, 9.7 and 13.8 MB while it zipped its integers into a
@@ -743,6 +745,15 @@ class TestLargeFiles:
             path.write_bytes(text.replace("\n", end).encode())
             peak, error = self.peak(parse_pattern_file, path)
             assert error is None and peak < 8.3 * self.MB
+
+    def test_string_file_as_a_tree(self, tmp_path):
+        # the header is refused once its line holds a token too many, not
+        # after the whole first line is read
+        path = tmp_path / "s.txt"
+        path.write_text(pattern_file_text(gen_random_string(10**6, 100, 1)))
+        peak, error = self.peak(parse_tree_file, path)
+        assert str(error) == f"{path}:1:1: expected header 'tree N'"
+        assert peak < 7 * self.MB
 
     def test_tree_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
@@ -1170,6 +1181,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {dag}:1: vertex count 9223372036854775807 is too large\n"
         )
+        # the same header on line 3, after a CRLF and a lone CR
+        dag = files("late.dag", "\r\n\rdag 9223372036854775807 0\n")
+        assert main(["match-dag", files("p.txt", "1\n"), dag]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dag}:3: vertex count 9223372036854775807 is too large\n"
+        )
 
     @pytest.mark.parametrize(
         "data, line",
@@ -1178,8 +1195,14 @@ class TestExitCodes:
             (b"1\n" * 20000 + b"2 \xc3\n", 20001),
             (b"1 2\r3 \xff\r", 2),
             (b"1\r\n2\r\r\n3 4 \xff", 4),
+            (b"1\n2 \xed\xa0\x80\n", 2),
+            (b"1\r\xff", 2),
+            (b"\xff1\n", 1),
         ],
-        ids=["second-line", "past-first-read-chunk", "cr-line-ends", "mixed-line-ends"],
+        ids=[
+            "second-line", "past-first-read-chunk", "cr-line-ends", "mixed-line-ends",
+            "encoded-surrogate", "after-lone-cr", "first-byte",
+        ],
     )
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, data, line):
         path = tmp_path / "t.txt"

@@ -311,9 +311,9 @@ class TestValidationAgainstReference:
 
 class FlatTriples:
     """A minimal view of edges over their flat integers: sized, iterable
-    again and again, reversible, and nothing else.  Every step overwrites
-    the one triple it hands out, so a build that keeps a triple past its
-    loop step reads the wrong edge."""
+    again and again, and nothing else.  Every step overwrites the one
+    triple it hands out, so a build that keeps a triple past its loop step
+    reads the wrong edge."""
 
     def __init__(self, edges):
         self.flat = tuple(chain.from_iterable(edges))
@@ -321,17 +321,11 @@ class FlatTriples:
     def __len__(self):
         return len(self.flat) // 3
 
-    def _walk(self, order):
+    def __iter__(self):
         triple = [0, 0, 0]
-        for k in order:
+        for k in range(len(self)):
             triple[:] = self.flat[3 * k : 3 * k + 3]
             yield triple
-
-    def __iter__(self):
-        return self._walk(range(len(self)))
-
-    def __reversed__(self):
-        return self._walk(range(len(self) - 1, -1, -1))
 
 
 FORMS = {"tuple": tuple, "flat view": FlatTriples}
