@@ -19,10 +19,12 @@ past that, failures are no longer recorded, which costs repeated work
 and never an answer.
 """
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import itemgetter, lt
+from operator import getitem, itemgetter, lt
+from types import SimpleNamespace
 
 from .pattern import PatternTables, build_pattern_tables
 
@@ -243,6 +245,33 @@ def match_dag_explored(
     return None, explored
 
 
+class _FirstOccurrences(dict):
+    """The out-lists of build_dasg(t), each built on its first read.
+
+    ``self[v]`` is build_dasg(t).out[v]: the edge (v, c, j) for every label
+    c that occurs after position v, j its first occurrence there (1-based),
+    by ascending j.  Building it bisects the occurrence list of each such
+    label, so it costs O(d log n) for its d edges, wherever they lie.
+    """
+
+    def __init__(self, t: Sequence[int]):
+        super().__init__()
+        occurrences: dict[int, list[int]] = {}
+        for j, c in enumerate(t, 1):
+            occurrences.setdefault(c, []).append(j)
+        # by ascending last occurrence, so the labels that occur after v
+        # are those from bisect_right(self._lasts, v) on
+        self._occurrences = sorted(occurrences.values(), key=itemgetter(-1))
+        self._lasts = [js[-1] for js in self._occurrences]
+        self._label_at = [None, *t].__getitem__  # the label at position j
+
+    def __missing__(self, v: int) -> list[tuple[int, int, int]]:
+        after = self._occurrences[bisect_right(self._lasts, v) :]
+        firsts = sorted(map(getitem, after, map(bisect_right, after, repeat(v))))
+        out = self[v] = list(zip(repeat(v), map(self._label_at, firsts), firsts))
+        return out
+
+
 def opsm(p: Sequence[int], t: Sequence[int]) -> bool:
     """Decide whether some subsequence of ``t`` op-matches ``p``.
 
@@ -252,9 +281,18 @@ def opsm(p: Sequence[int], t: Sequence[int]) -> bool:
     labels (through first occurrences), so the other starts would only
     repeat work when there is no match.  The empty pattern matches
     vacuously.
+
+    The graph is never built whole.  match_dag_explored reads only the
+    out-lists and longest-path lengths of the vertices it reaches, so it
+    gets the tables of build_dasg(t) with each out-list built on first read
+    (``_FirstOccurrences``) and ``longest[v] = n - v``.  The witness and the
+    explored count are those of the search on build_dasg(t); the graph's
+    other out-lists are never made.
     """
     if len(p) == 0:
         return True
-    tables = build_pattern_tables(p)
-    witness, _ = match_dag_explored(tables, build_dasg(t), starts=(0,))
+    n = len(t)
+    out, longest = _FirstOccurrences(t), list(range(n, -1, -1))
+    dasg = SimpleNamespace(vertex_count=n + 1, out=out, longest=longest)
+    witness, _ = match_dag_explored(build_pattern_tables(p), dasg, starts=(0,))
     return witness is not None

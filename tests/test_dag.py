@@ -663,6 +663,64 @@ class TestOpsm:
                     for p in product((1, 2), repeat=m):
                         assert opsm(p, t) == naive_opsm(p, t)
 
+    @staticmethod
+    def record_searches(monkeypatch):
+        """(out-lists, witness, explored) of each search opsm makes; opsm
+        must not build the subsequence graph."""
+        searches = []
+
+        def recording(tables, dag, **kwargs):
+            found = match_dag_explored(tables, dag, **kwargs)
+            searches.append((dag.out, *found))
+            return found
+
+        def refuse(t):
+            raise AssertionError("opsm built the whole subsequence graph")
+
+        monkeypatch.setattr(oppm.dag, "match_dag_explored", recording)
+        monkeypatch.setattr(oppm.dag, "build_dasg", refuse)
+        return searches
+
+    def test_out_lists_are_those_of_build_dasg(self):
+        rng = random.Random(2501)
+        for _ in range(400):
+            sigma = rng.choice((1, 2, 3, 8, 1000, 2**70))
+            t = [rng.randint(-sigma, sigma) for _ in range(rng.randint(0, 40))]
+            out = build_dasg(t).out
+            vertices = list(range(len(t) + 1))
+            rng.shuffle(vertices)  # any vertex may be read first
+            lazy = oppm.dag._FirstOccurrences(t)
+            assert [lazy[v] for v in vertices] == [out[v] for v in vertices]
+
+    def test_search_is_the_one_on_build_dasg(self, monkeypatch):
+        searches = self.record_searches(monkeypatch)
+        rng = random.Random(2503)
+        yes = 0
+        for _ in range(300):
+            sigma = rng.choice((3, 8, 1000))
+            t = tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 70)))
+            p = [rng.randint(1, 8) for _ in range(rng.randint(1, 9))]
+            full = match_dag_explored(build_pattern_tables(p), build_dasg(t), starts=(0,))
+            searches.clear()
+            assert opsm(p, t) == (full[0] is not None)
+            [(_, *found)] = searches
+            assert tuple(found) == full
+            yes += full[0] is not None
+        assert 100 < yes < 200
+
+    def test_match_at_the_start_builds_one_out_list_per_label(self, monkeypatch):
+        searches = self.record_searches(monkeypatch)
+        rng = random.Random(2502)
+        for m in (2, 3, 5, 8, 13):
+            t = list(gen_random_string(2000, 1000, m))
+            p = rng.sample(range(1, 1001), m)
+            t[:m] = p
+            searches.clear()
+            assert opsm(p, t) is True
+            [(out, witness, _)] = searches
+            assert witness == list(range(m + 1))
+            assert sorted(out) == list(range(m))
+
 
 def increasing_map(rng, values):
     """A strictly increasing map of ``values`` onto int64, the smallest
@@ -724,6 +782,38 @@ class TestSearchPastOracleLimit:
                 assert all((u, t[v - 1], v) in edges for u, v in zip(witness, witness[1:]))
                 assert naive_isomorphic(p, [t[v - 1] for v in witness[1:]])
         assert 15 <= answers.count(False) and 15 <= answers.count(True)
+
+    def test_opsm_relations_in_the_thousands(self, monkeypatch):
+        # texts too long to build the subsequence graph of in a test: a
+        # "yes" is checked by its witness, and the answers of the random
+        # families by the relations
+        searches = TestOpsm.record_searches(monkeypatch)
+        rng = random.Random(2504)
+        answers = []
+        for k in range(24):
+            m = rng.randint(2, 8)
+            if k % 4 == 0:
+                # m - 1 falling runs: no increasing subsequence of length m;
+                # the search explores for long, so the text is shorter
+                n = rng.randint(1000, 2000)
+                t = [rng.randint(1, 1000) for _ in range(n)]
+                cuts = sorted(rng.sample(range(1, n), m - 2))
+                t = [x for a, b in zip([0, *cuts], [*cuts, n]) for x in sorted(t[a:b], reverse=True)]
+                assert opsm(sorted(rng.sample(range(1, 100), m)), t) is False
+                continue
+            sigma = 3 if k % 4 == 1 else 1000
+            t = [rng.randint(1, sigma) for _ in range(rng.randint(1000, 5000))]
+            p = [rng.randint(1, 4) for _ in range(m)] if sigma == 3 else rng.sample(range(1, 1001), m)
+            f = increasing_map(rng, [*p, *t])
+            searches.clear()
+            found = opsm(p, t)
+            [(_, witness, _)] = searches
+            assert opsm([f[x] for x in p], [f[x] for x in t]) == found == opsm(p[::-1], t[::-1])
+            answers.append(found)
+            if found:
+                assert witness[0] == 0 and witness == sorted(set(witness))
+                assert naive_isomorphic(p, [t[v - 1] for v in witness[1:]])
+        assert answers.count(False) >= 2 and answers.count(True) >= 10
 
     def test_random_dag_relations(self):
         rng = random.Random(1602)
