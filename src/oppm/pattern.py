@@ -44,25 +44,18 @@ class PatternTables:
 
 def _tight_lower(p: Sequence[int]) -> list[int]:
     # Entry i is the 1-based position, within p[:i], of the largest value
-    # not exceeding p[i] (the rightmost one on ties), or 0.  Positions are
-    # deleted from a value-sorted doubly linked list in decreasing position
-    # order; the live predecessor at deletion time is the wanted position.
-    m = len(p)
-    lower = [0] * m
-    order = sorted(range(m), key=lambda k: (p[k], k))
-    rank = [0] * m
-    for r, k in enumerate(order):
-        rank[k] = r
-    prev_rank = list(range(-1, m - 1))
-    next_rank = list(range(1, m + 1))
-    for i in range(m - 1, -1, -1):
-        r = rank[i]
-        pr, nx = prev_rank[r], next_rank[r]
-        if pr >= 0:
-            lower[i] = order[pr] + 1
-            next_rank[pr] = nx
-        if nx < m:
-            prev_rank[nx] = pr
+    # not exceeding p[i] (the rightmost one on ties), or 0.  The stable sort
+    # keeps tied values in position order, so that is the nearest position
+    # left of i among those sorted before it: one stack pass over the sorted
+    # order finds it in O(m), each position pushed and popped at most once.
+    lower = [0] * len(p)
+    stack: list[int] = []
+    for k in sorted(range(len(p)), key=p.__getitem__):
+        while stack and stack[-1] > k:
+            stack.pop()
+        if stack:
+            lower[k] = stack[-1] + 1
+        stack.append(k)
     return lower
 
 
@@ -74,8 +67,8 @@ def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
     the rightmost position of the smallest value not below ``p[i]``.  A 0
     entry means no qualifying position exists.
 
-    ``lmin`` of ``p`` is ``lmax`` of the negated pattern, ties again going
-    to the rightmost position, so one routine computes both.
+    ``lmin`` of ``p`` is ``lmax`` of ``-p`` (ties again go rightmost), so one
+    routine computes both: one stable sort, then one O(m) stack pass.
     """
     if len(p) == 0:
         raise ValueError("pattern must be non-empty")

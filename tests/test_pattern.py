@@ -1,5 +1,6 @@
 """Pattern table construction checked against the brute-force definitions."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from oppm.oracles import naive_border, naive_isomorphic, naive_lmax_lmin
 from oppm.pattern import (
+    INT64_MAX,
+    INT64_MIN,
     PatternTables,
     build_pattern_tables,
     compute_border_array,
@@ -56,6 +59,30 @@ class TestComputeLmaxLmin:
                 lmax, lmin = compute_lmax_lmin(p)
                 nlmax, nlmin = naive_lmax_lmin(p)
                 assert lmax == nlmax and lmin == nlmin, p
+
+    def test_long_patterns_match_brute_force(self):
+        # the hypothesis strategies stop at 10 labels; these run the stack
+        # pass at 100-600, where the rising, constant and maximum-first
+        # shapes grow the stack to about m and maximum-first then empties it
+        # in one run of pops
+        rng = random.Random(26)
+        extremes = (INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX)
+        alphabets = [range(1, sigma + 1) for sigma in (1, 2, 3, 1000)]
+        patterns = [
+            rng.choices(alphabet, k=rng.randint(100, 600))
+            for alphabet in [*alphabets, extremes]
+            for _ in range(2)
+        ]
+        m = 600
+        patterns += [
+            list(range(m)),
+            list(range(m, 0, -1)),
+            [*range(m // 2), *range(m // 2, 0, -1)],
+            [7] * m,
+            [m, *range(1, m)],
+        ]
+        for p in patterns:
+            assert compute_lmax_lmin(p) == naive_lmax_lmin(p), p
 
 
 class TestComputeBorderArray:
