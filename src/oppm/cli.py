@@ -58,7 +58,8 @@ class ParseError(ValueError):
 # position in the whole text, which is read only to locate a fault; read so,
 # a byte that is not valid UTF-8 is a lone surrogate, and the first fault.
 # Both edge formats reach their builder through a view that reads the
-# integers three at a time (_Triples).
+# integers three at a time (_Triples), and match-string's text reaches the
+# automaton a slice's integers at a time (_Ints).
 
 _SLICE = 1 << 16
 
@@ -108,16 +109,17 @@ def _convert(tokens: list[str]) -> list[int] | None:
 
 class _Input:
     """One input file, read once, a slice at a time: ``header`` takes the
-    first content line of a tree or DAG file, and ``values`` converts the
+    first content line of a tree or DAG file, and ``ints`` converts the
     text after it and records the token count of each of its content lines
-    in ``counts``.  ``values`` raises nothing: the caller checks the number
-    of lines first, and then ``check`` raises the first fault on them.
+    in ``counts``.  ``ints`` raises nothing: the caller checks the number
+    of lines once they are read, and then ``check`` raises the first fault
+    on them.
     Every error reads ``text`` to locate its fault."""
 
     def __init__(self, path: str):
         self.path = path
         self.slices = self._slices()
-        self.start = 0  # the text position ``values`` starts at
+        self.start = 0  # the text position ``ints`` starts at
 
     def _reads(self):
         """The text in reads of _SLICE characters, or the error at the first
@@ -194,13 +196,18 @@ class _Input:
         self.start += head.end()
         return values
 
-    def values(self) -> tuple[int, ...]:
-        """The integers from text position ``start`` on, in file order.  The
-        first slice with a token that is not a signed 64-bit integer ends the
-        conversion, so then the tuple stops short and ``check`` raises."""
+    def ints(self) -> "_Ints":
+        """The integers from text position ``start`` on, in file order, a
+        slice at a time.  The first slice with a token that is not a signed
+        64-bit integer ends them, so then they stop short and ``check``
+        raises."""
         self.counts: list[int] = []
         self.bad: tuple[int, str] | None = None  # its first bad token's fault
-        return tuple(chain.from_iterable(self._chunks()))
+        return _Ints(self._chunks())
+
+    def values(self) -> tuple[int, ...]:
+        """The integers of ``ints``, in one tuple."""
+        return tuple(chain.from_iterable(self.ints()))
 
     def _chunks(self):
         """The integers of each slice, a list at a time; ``counts`` is
@@ -238,12 +245,12 @@ class _Input:
 
     def row(self, index: int) -> int:
         """The text position of the first token of content line ``index``
-        of those that ``values`` read."""
+        of those that ``ints`` read."""
         lines = _CONTENT.finditer(self.text, self.start)
         return next(islice(lines, index, None)).start()
 
     def check(self, arity: int | None = None, what: str = "") -> None:
-        """Raise the first fault on the lines ``values`` read, in file order:
+        """Raise the first fault on the lines ``ints`` read, in file order:
         a line without ``arity`` tokens ("expected '{what}'", reported before
         the tokens on it), or a token that is not a signed 64-bit integer."""
         fault = self.bad  # (text position, message)
@@ -254,6 +261,13 @@ class _Input:
                 fault = pos, f"expected '{what}'"
         if fault is not None:
             raise self.error(fault[1], fault[0])
+
+    def check_line(self) -> None:
+        """``check`` for a pattern or string file, which holds one line: a
+        second content line is its first fault."""
+        if len(self.counts) > 1:
+            raise self.error("expected a single line of integers", self.row(1))
+        self.check()
 
     def edges(self, count: int, what: str) -> "_Triples":
         """The ``count`` edge lines after the header, each ``what``, as
@@ -271,10 +285,26 @@ def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
     f = _Input(path)
     values = f.values()
-    if len(f.counts) > 1:
-        raise f.error("expected a single line of integers", f.row(1))
-    f.check()
+    f.check_line()
     return values
+
+
+class _Ints:
+    """A file's integers as the lists ``_Input._chunks`` yields, one per
+    slice; its length is the number of integers it has yielded, the file's
+    once they are all read."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for chunk in self.chunks:
+            self.count += len(chunk)
+            yield chunk
 
 
 class _Triples:
@@ -382,11 +412,15 @@ def _match_lines(ids, stats=None) -> str:
 
 def _match_string(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
-    t = parse_pattern_file(ns.text)
     if ns.oracle:
+        t = parse_pattern_file(ns.text)
         _oracle_fits(len(t), ORACLE_LIMIT, "texts of length <= {}")
         return _match_lines(naive_match_string(p, t))
-    positions, stats = match_string(build_pattern_tables(p), t)
+    # the text goes to the automaton a slice at a time; a fault in it is
+    # raised after the match, and main then writes nothing to stdout
+    f = _Input(ns.text)
+    positions, stats = match_string(build_pattern_tables(p), f.ints())
+    f.check_line()
     return _match_lines(positions, stats if ns.stats else None)
 
 

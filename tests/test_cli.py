@@ -721,6 +721,27 @@ class TestLargeFiles:
         col = 2 * (10**6 - 1) + 1
         assert capsys.readouterr().err == f"error: {path}:1:{col}: not an integer: 'x'\n"
 
+    def test_match_string_fault_after_the_match_began(self, tmp_path, files, capsys):
+        # match-string matches the slices before the fault's; the fault
+        # still exits 2 with nothing on stdout
+        pattern = files("p.txt", "2 1 3\n")
+        path = tmp_path / "s.txt"
+        text = pattern_file_text(gen_random_string(self.LABELS, 1000, 1))
+        path.write_text(text)
+        assert main(["match-string", pattern, str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") > 1000
+        # the bad token is in the last of more than ten slices
+        assert len(text) > 10 * cli._SLICE
+        cut = text.rindex(" ") + 1
+        faults = [
+            (text[:cut] + "x\n", f"1:{cut + 1}: not an integer: 'x'"),
+            (text + "5 6\n", "2:1: expected a single line of integers"),
+        ]
+        for bad, message in faults:
+            path.write_text(bad)
+            assert main(["match-string", pattern, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {path}:{message}\n")
+
     # a CRLF file is also read, through a copy of its text with \n ends
     ENDS = ["\n", "\r\n"]
 
@@ -745,6 +766,18 @@ class TestLargeFiles:
             path.write_bytes(text.replace("\n", end).encode())
             peak, error = self.peak(parse_pattern_file, path)
             assert error is None and peak < 8.3 * self.MB
+
+    def test_match_string_does_not_hold_the_text(self, tmp_path, files, capsys):
+        # the text goes to the automaton a slice at a time: 4.0 MB, where
+        # the tuple of all its integers took 9.7 MB
+        path = tmp_path / "s.txt"
+        path.write_text(pattern_file_text(gen_random_string(self.LABELS, 1000, 1)))
+        argv = ["match-string", files("p.txt", "2 1 3\n"), str(path), "--stats"]
+        codes = []
+        peak, error = self.peak(lambda _: codes.append(main(argv)), path)
+        assert codes == [0] and error is None
+        assert peak < 5 * self.MB
+        assert f"goto={self.LABELS} " in capsys.readouterr().out
 
     def test_string_file_as_a_tree(self, tmp_path):
         # the header is refused once its line holds a token too many, not

@@ -1,7 +1,7 @@
 """DAG validation, subsequence-graph construction, and path matching."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -599,6 +599,85 @@ class TestTiedPatternFamily:
             assert naive_isomorphic(self.P, labels)
             assert is_subsequence(labels, t)
             assert opsm(self.P[::-1], t[::-1]) is True
+
+
+def layered(n, b):
+    """The labels 1..n in decreasing runs of b, each run above the one
+    before: layered(9, 3) is 3 2 1 6 5 4 9 8 7."""
+    return [v for s in range(0, n, b) for v in range(min(s + b, n), s, -1)]
+
+
+def contains(seq, shape):
+    """Whether ``seq`` has a subsequence order-isomorphic to ``shape``, by
+    trying every choice of positions."""
+    return any(
+        naive_isomorphic(shape, [seq[i] for i in c])
+        for c in combinations(range(len(seq)), len(shape))
+    )
+
+
+class TestLayeredFamily:
+    """A search-bound family whose "no" answers need no search to prove: a
+    layered text avoids 231 and 312 (Bóna, "Combinatorics of
+    Permutations"), and each pattern below contains one of them, so no
+    subsequence of the text op-matches it.  Searched from v_0 as opsm
+    does, on the text and (reversed) on the reversed instance; a change to
+    the search's order or memo shows as a diff of these pins."""
+
+    PATTERNS = ((2, 4, 1, 3), (3, 1, 4, 2, 5))
+    # explored edges per (n, b), for each pattern: (text, reversed instance)
+    EXPLORED = {
+        (40, 5): ((8475, 8475), (17503, 19711)),
+        (80, 8): ((71792, 71792), (253594, 256053)),
+    }
+    SMALL = (20, 5)  # checked against naive_opsm
+
+    @staticmethod
+    def explored(p, t):
+        """opsm's search from v_0, and the same on the reversed instance."""
+        return tuple(
+            match_dag_explored(build_pattern_tables(q), build_dasg(u), starts=(0,))
+            for q, u in ((p, t), (p[::-1], t[::-1]))
+        )
+
+    def test_patterns_contain_231_or_312(self):
+        for p in self.PATTERNS:
+            assert contains(p, (2, 3, 1)) or contains(p, (3, 1, 2))
+
+    def test_layered_text_avoids_231_and_312(self):
+        for n, b in (self.SMALL, *self.EXPLORED):
+            t = layered(n, b)
+            assert sorted(t) == list(range(1, n + 1))
+            assert not contains(t, (2, 3, 1)) and not contains(t, (3, 1, 2))
+
+    def test_explored_pinned_and_growing(self):
+        for k, p in enumerate(self.PATTERNS):
+            counts = [self.explored(p, layered(*self.SMALL))]
+            for size, pinned in self.EXPLORED.items():
+                got = self.explored(p, layered(*size))
+                assert got == tuple((None, c) for c in pinned[k]), size
+                counts.append(got)
+            for side in (0, 1):
+                grows = [c[side][1] for c in counts]
+                assert grows == sorted(set(grows)), grows
+
+    def test_no_answers_agree_with_naive_opsm(self):
+        t = layered(*self.SMALL)
+        for p in self.PATTERNS:
+            assert naive_opsm(p, t) is False and opsm(p, t) is False
+            assert naive_opsm(p[::-1], t[::-1]) is False and opsm(p[::-1], t[::-1]) is False
+
+    def test_planted_block_gives_yes(self):
+        # the fifth run of layered(40, 5), 25..21, rewritten to start with
+        # p's shape: the search finds it there, and the reversed instance too
+        planted = {(2, 4, 1, 3): 7644, (3, 1, 4, 2, 5): 15755}
+        for p, count in planted.items():
+            t = layered(40, 5)
+            t[20:25] = [20 + x for x in (*p, *range(len(p) + 1, 6))]
+            assert sorted(t) == list(range(1, 41))
+            (witness, explored), (back, _) = self.explored(p, t)
+            assert (witness, explored) == ([0, *range(21, 21 + len(p))], count)
+            assert back is not None
 
 
 class TestOpsm:

@@ -137,6 +137,38 @@ def test_positions_and_counters_equal_reference_loop():
                 assert match_string(tables, t) == reference_match_string(tables, t), (p, t)
 
 
+def test_chunked_text_gives_the_sequence_result():
+    """The text as an iterable of chunks, cut at random points: the
+    positions and both counts of the whole sequence, and the brute force's
+    positions.  Each text holds a copy of its pattern, cut inside when
+    m > 1; equal points give empty chunks, close ones chunks shorter than
+    the pattern."""
+    rng = random.Random(2701)
+    empty = short = 0  # cases with an empty chunk, with one shorter than m
+    for _ in range(3000):
+        sigma = rng.randint(2, 50)
+        m = rng.randint(1, 8)
+        p = [rng.randint(1, sigma) for _ in range(m)]
+        t = [rng.randint(1, sigma) for _ in range(rng.randint(0, 80))]
+        k = rng.randint(0, len(t))
+        t[k:k] = p  # ends at position k + m
+        tables = build_pattern_tables(p)
+        whole = match_string(tables, t)
+        assert whole[0] == naive_match_string(p, t)
+        assert k + m in whole[0]
+        cuts = [rng.randint(0, len(t)) for _ in range(rng.choice((0, 1, 3, 10, 40)))]
+        if m > 1:
+            cuts.append(rng.randint(k + 1, k + m - 1))
+        ends = [0, *sorted(cuts), len(t)]
+        # lists and tuples: a chunk is any sequence
+        chunks = [rng.choice((list, tuple))(t[a:b]) for a, b in zip(ends, ends[1:])]
+        assert match_string(tables, iter(chunks)) == whole, (p, chunks)
+        sizes = [len(chunk) for chunk in chunks]
+        empty += 0 in sizes
+        short += any(0 < size < m for size in sizes)
+    assert empty > 500 and short > 500
+
+
 class TestPastOracleLimit:
     """Relations that need no oracle, on texts of 10^5 labels, far past
     ORACLE_LIMIT: the matcher only compares labels, a window read
