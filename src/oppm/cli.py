@@ -15,6 +15,7 @@ validation error.
 import argparse
 import os
 import re
+import stat
 import sys
 from functools import cached_property
 from itertools import chain, islice
@@ -57,9 +58,10 @@ class ParseError(ValueError):
 # beside the result.  Each fault is found in the slice that holds it, at a
 # position in the whole text, which is read only to locate a fault; read so,
 # a byte that is not valid UTF-8 is a lone surrogate, and the first fault.
-# Both edge formats reach their builder through a view that reads the
-# integers three at a time (_Triples), and match-string's text reaches the
-# automaton a slice's integers at a time (_Ints).
+# A tree file's edges reach build_tree as they are converted, three
+# integers at a time (_TreeEdges), and match-string's text reaches the
+# automaton a slice's integers at a time (_Ints); a DAG file's integers are
+# checked before build_dag reads them.
 
 _SLICE = 1 << 16
 
@@ -110,10 +112,10 @@ def _convert(tokens: list[str]) -> list[int] | None:
 class _Input:
     """One input file, read once, a slice at a time: ``header`` takes the
     first content line of a tree or DAG file, and ``ints`` converts the
-    text after it and records the token count of each of its content lines
-    in ``counts``.  ``ints`` raises nothing: the caller checks the number
-    of lines once they are read, and then ``check`` raises the first fault
-    on them.
+    text after it, counting its content lines in ``lines`` and noting in
+    ``wrong`` the first of them without the given number of tokens.
+    ``ints`` raises nothing: the caller checks the number of lines once
+    they are read, and then ``check`` raises the first fault on them.
     Every error reads ``text`` to locate its fault."""
 
     def __init__(self, path: str):
@@ -196,23 +198,24 @@ class _Input:
         self.start += head.end()
         return values
 
-    def ints(self) -> "_Ints":
+    def ints(self, arity: int | None = None) -> "_Ints":
         """The integers from text position ``start`` on, in file order, a
-        slice at a time.  The first slice with a token that is not a signed
-        64-bit integer ends them, so then they stop short and ``check``
-        raises."""
-        self.counts: list[int] = []
+        slice at a time; ``wrong`` is the index of the first content line
+        without ``arity`` tokens, if one is given.  The first slice with a
+        token that is not a signed 64-bit integer ends them, so then they
+        stop short and ``check`` raises."""
+        self.lines = 0
+        self.wrong: int | None = None
         self.bad: tuple[int, str] | None = None  # its first bad token's fault
-        return _Ints(self._chunks())
+        return _Ints(self._chunks(arity))
 
-    def values(self) -> tuple[int, ...]:
+    def values(self, arity: int | None = None) -> tuple[int, ...]:
         """The integers of ``ints``, in one tuple."""
-        return tuple(chain.from_iterable(self.ints()))
+        return tuple(chain.from_iterable(self.ints(arity)))
 
-    def _chunks(self):
-        """The integers of each slice, a list at a time; ``counts`` is
-        complete once the generator is."""
-        counts = self.counts
+    def _chunks(self, arity: int | None):
+        """The integers of each slice, a list at a time; ``lines`` and
+        ``wrong`` are complete once the generator is."""
         carry = 0  # tokens so far on the line the last slice ended in
         pos = self.start
         for piece in self.slices:
@@ -226,7 +229,7 @@ class _Input:
                 tally = list(map(len, map(str.split, lines)))
             tally[0] += carry
             carry = tally.pop()
-            counts += filter(None, tally)
+            self._count(tally, arity)
             if self.bad is None:
                 chunk = _convert(tokens)
                 if chunk is None:
@@ -240,8 +243,15 @@ class _Input:
             del piece, tokens, lines
             if self.bad is None:
                 yield chunk
-        if carry:
-            counts.append(carry)
+        self._count([carry], arity)
+
+    def _count(self, tally: list[int], arity: int | None) -> None:
+        """Add the lines of ``tally`` tokens each that have a token to
+        ``lines``, and note the first without ``arity`` tokens."""
+        tally = list(filter(None, tally))
+        if self.wrong is None and arity is not None and tally.count(arity) < len(tally):
+            self.wrong = self.lines + next(i for i, n in enumerate(tally) if n != arity)
+        self.lines += len(tally)
 
     def row(self, index: int) -> int:
         """The text position of the first token of content line ``index``
@@ -249,14 +259,14 @@ class _Input:
         lines = _CONTENT.finditer(self.text, self.start)
         return next(islice(lines, index, None)).start()
 
-    def check(self, arity: int | None = None, what: str = "") -> None:
+    def check(self, what: str = "") -> None:
         """Raise the first fault on the lines ``ints`` read, in file order:
-        a line without ``arity`` tokens ("expected '{what}'", reported before
-        the tokens on it), or a token that is not a signed 64-bit integer."""
+        a line with the wrong number of tokens ("expected '{what}'",
+        reported before the tokens on it), or a token that is not a signed
+        64-bit integer."""
         fault = self.bad  # (text position, message)
-        if arity is not None and not set(self.counts) <= {arity}:
-            row = next(i for i, count in enumerate(self.counts) if count != arity)
-            pos = self.row(row)
+        if self.wrong is not None:
+            pos = self.row(self.wrong)
             if fault is None or pos <= fault[0]:
                 fault = pos, f"expected '{what}'"
         if fault is not None:
@@ -265,20 +275,17 @@ class _Input:
     def check_line(self) -> None:
         """``check`` for a pattern or string file, which holds one line: a
         second content line is its first fault."""
-        if len(self.counts) > 1:
+        if self.lines > 1:
             raise self.error("expected a single line of integers", self.row(1))
         self.check()
 
-    def edges(self, count: int, what: str) -> "_Triples":
-        """The ``count`` edge lines after the header, each ``what``, as
-        triples."""
-        values = self.values()
-        if len(self.counts) != count:
-            msg = f"expected {count} edge lines, found {len(self.counts)}"
+    def check_edges(self, count: int, what: str) -> None:
+        """``check`` for ``count`` edge lines after the header, each
+        ``what``: a different number of lines is their first fault."""
+        if self.lines != count:
+            msg = f"expected {count} edge lines, found {self.lines}"
             raise self.error(msg, self.head, column=False)
-        self.check(3, what)
-        del self.counts
-        return _Triples(values)
+        self.check(what)
 
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
@@ -307,31 +314,70 @@ class _Ints:
             yield chunk
 
 
-class _Triples:
-    """The edge lines' ``(a, b, c)`` triples, read off the flat integers:
-    a zip of one iterator with itself, whose tuple lives one loop step."""
+class _TreeEdges:
+    """A tree file's ``count`` edge lines as ``(parent, child, label)``
+    triples, read off each slice's integers as they are converted: a zip
+    of one iterator with itself, whose tuple lives one loop step.  Its
+    length is the header's count, so ``build_tree`` runs while the file is
+    read.  ``finish`` reads the rest of the file and raises its first
+    fault; a second iteration, by which ``build_tree`` names an unreachable
+    node's edge, finishes first and then converts the text again, so it
+    only ever reads a file with no fault that comes before a structural
+    one."""
 
-    def __init__(self, flat: tuple[int, ...]):
-        self.flat = flat
+    def __init__(self, f: _Input, count: int):
+        self.f = f
+        self.count = count
+        self.ints = f.ints(3)
+        self.read = False
 
     def __len__(self) -> int:
-        return len(self.flat) // 3
+        return self.count
 
     def __iter__(self):
-        it = iter(self.flat)
+        if self.read:
+            self.finish()
+            flat = _convert(self.f.text[self.f.start :].split())
+        else:
+            self.read = True
+            flat = chain.from_iterable(self.ints)
+        it = iter(flat)
         return zip(it, it, it)
+
+    def finish(self) -> None:
+        for _ in self.ints:
+            pass
+        self.f.check_edges(self.count, "parent child label")
 
 
 def parse_tree_file(path: str) -> TextTree:
-    """Header 'tree N' and N-1 edge lines; build_tree checks the structure."""
+    """Header 'tree N' and N-1 edge lines, streamed into build_tree, which
+    checks the structure.  Its fault is raised only once the rest of the
+    file is read and has no edge-count, arity or token fault."""
     f = _Input(path)
     (n,) = f.header("tree N")
     if n < 1:
         raise f.error("node count must be at least 1", f.head, column=False)
+    edges = _TreeEdges(f, n - 1)
+    # a header of six characters or more and n - 1 edge lines of five, each
+    # line but the last with its end, take at least 6n bytes; a shorter file
+    # has a count or arity fault, raised before build_tree sizes its lists
+    # by n
+    st = os.stat(path)
+    if stat.S_ISREG(st.st_mode) and st.st_size < 6 * n:
+        edges.finish()
     try:
-        return build_tree(f.edges(n - 1, "parent child label"))
+        tree = build_tree(edges)
     except TreeValidationError as exc:
+        edges.finish()
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
+    except MemoryError:
+        # a file that is not a regular one, such as a pipe, is not sized
+        # first, so its lines may not back the header's n
+        edges.finish()
+        raise f.error(f"node count {n} is too large", f.head, column=False) from None
+    edges.finish()
+    return tree
 
 
 def parse_dag_file(path: str) -> TextDag:
@@ -342,8 +388,11 @@ def parse_dag_file(path: str) -> TextDag:
         raise f.error("vertex count must be at least 1", f.head, column=False)
     if e_count < 0:
         raise f.error("edge count cannot be negative", f.head, column=False)
+    # the iterator lets go of the integers once the edges are read off it
+    it = iter(f.values(3))
+    f.check_edges(e_count, "source target label")
     # file lines are 'source target label', DAG edges (source, label, target)
-    edges = [(u, c, v) for u, v, c in f.edges(e_count, "source target label")]
+    edges = [(u, c, v) for u, v, c in zip(it, it, it)]
     try:
         return build_dag(v_count, edges)
     except DagValidationError as exc:

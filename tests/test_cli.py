@@ -129,6 +129,54 @@ class TestTreeFileParsing:
         assert parse_tree_file(path) == tree
 
 
+# a tree file whose second edge line repeats child 1: a structural fault
+# that the streamed build meets before it has read the lines after it
+_DUPLICATE = ["tree 6", "0 1 5", "0 1 6", "1 3 7", "1 4 8", "2 5 9"]
+
+
+class TestTreeFaultOrder:
+    """build_tree reads a tree file's edges as they are converted, so it
+    meets a structural fault before the rest of the file is read.  That
+    fault is held, and a later edge-count, arity or token fault is raised
+    first, as README's order has it.  Read in slices of four characters,
+    the later fault lies slices past the structural one."""
+
+    @pytest.mark.parametrize("size", [None, 4], ids=["one-slice", "short-slices"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (_DUPLICATE, "3: duplicate child 1"),
+            (_DUPLICATE[:-1] + ["2 5"], "6:1: expected 'parent child label'"),
+            (_DUPLICATE[:-1] + ["2 5 x"], "6:5: not an integer: 'x'"),
+            (_DUPLICATE + ["3 6 1"], "1: expected 5 edge lines, found 6"),
+            (_DUPLICATE[:-1], "1: expected 5 edge lines, found 4"),
+            # 2 -> 3 -> 4 -> 2 is cut off from the root; node 2's edge is
+            # named, which build_tree finds by reading the edges again
+            (["tree 5", "0 1 5", "3 4 6", "4 2 7", "2 3 8"],
+             "4: node 2 is not reachable from the root"),
+        ],
+        ids=["duplicate", "arity", "bad-token", "line-too-many", "line-too-few", "unreachable"],
+    )
+    def test_first_fault_in_file_order(self, files, capsys, monkeypatch, size, lines, message):
+        if size is not None:
+            monkeypatch.setattr(cli, "_SLICE", size)
+        path = files("t.txt", "\n".join(lines) + "\n")
+        assert main(["match-tree", files("p.txt", "2 1 3\n"), path]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}:{message}\n")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_unreachable_node_far_into_the_file(self, files, end):
+        # a chain 0 - 1 - ... whose node k hangs from node k + 5 instead:
+        # the file is many slices long, and node k's line is named
+        n, k = 5 * 10**4, 4 * 10**4
+        edges = [f"{v - 1} {v} {v % 7}" for v in range(1, n)]
+        edges[k - 1] = f"{k + 5} {k} 3"
+        path = files("t.txt", end.join([f"tree {n}", *edges]) + end)
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:{k + 1}: node {k} is not reachable from the root"
+
+
 class TestDagFileParsing:
     def test_round_trip(self, files):
         dag = build_dasg((5, 2, 1, 4, 3, 6))
@@ -689,14 +737,16 @@ class TestLargeFiles:
     while it kept a list of every token and then listed every token of the
     line to find the fault's column); a 10^6-label string file given as a
     tree 6.2 MB for its header fault (8.8 MB while the header read its
-    whole first line); the tree file 7.6 MB before
-    build_tree and 7.9 MB in all, with 5.0 MB live as build_tree starts
-    (8.6 MB in all and 5.7 MB live while the parse kept the file's text
-    through build_tree, 9.7 and 13.8 MB while it zipped its integers into a
-    list of edge tuples, and 16.1 MB for both while it kept a list of every
-    token); the 41 547-edge DAG file 5.1 MB (5.3 MB while the parse held the
-    whole text, 6.9 MB while it kept the text, the flat integers and the
-    line tallies through build_dag)."""
+    whole first line); the tree file 7.2 MB, with 0.4 MB live as
+    build_tree starts, before any integer is converted (7.9 MB in all and
+    5.0 MB live while the parse converted the file into one flat tuple and
+    a token count per line before build_tree, 8.6 MB and 5.7 MB while it
+    also kept the file's text through build_tree, 9.7 and 13.8 MB while it
+    zipped its integers into a list of edge tuples, and 16.1 MB for both
+    while it kept a list of every token); the 41 547-edge DAG file 5.1 MB
+    (5.8 MB while the flat integers lived on through build_dag, 5.3 MB while
+    the parse held the whole text, 6.9 MB while it kept the text, the flat
+    integers and the line tallies through build_dag)."""
 
     LABELS = 2 * 10**5
     NODES = 5 * 10**4
@@ -803,10 +853,53 @@ class TestLargeFiles:
             at_build.clear()
             peak, error = self.peak(parse_tree_file, path)
             assert error is None
+            # build_tree reads the edges as they are converted: as it starts,
+            # only the header and the slice it was read from are in memory
             live, parse_peak = at_build[0]
-            assert live < 5.4 * self.MB
-            assert parse_peak < 9.2 * self.MB
-            assert peak < 10.4 * self.MB
+            assert live < 1 * self.MB
+            assert parse_peak < 1 * self.MB
+            assert peak < 7.8 * self.MB
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tree 1000000000000\n0 1 5\n", "1: expected 999999999999 edge lines, found 1"),
+            ("tree 40000\n" + "1\n" * 39999, "2:1: expected 'parent child label'"),
+        ],
+        ids=["edge-lines", "arity"],
+    )
+    def test_tree_file_too_short_for_its_header(self, files, monkeypatch, text, message):
+        # a file too short to hold its header's edge lines has a count or
+        # arity fault, raised before build_tree would size its arrays by the
+        # header's count
+        def build(edges):
+            raise AssertionError("build_tree called")
+
+        monkeypatch.setattr(cli, "build_tree", build)
+        path = files("t.txt", text)
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tree 3\n0 1 5\n1 2 6\n", "1: node count 3 is too large"),
+            ("tree 3\n0 1 5\n1 2 6\n2 3 7\n", "1: expected 2 edge lines, found 3"),
+        ],
+        ids=["backed", "edge-lines"],
+    )
+    def test_tree_too_large_to_build(self, files, monkeypatch, text, message):
+        # a pipe is not sized before the build, which may then run out of
+        # memory on the header's count; a count fault still comes first
+        def build(edges):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_tree", build)
+        path = files("t.txt", text)
+        with pytest.raises(ParseError) as err:
+            parse_tree_file(path)
+        assert str(err.value) == f"{path}:{message}"
 
     def test_dag_file(self, tmp_path):
         path = tmp_path / "d.dag"
@@ -815,7 +908,7 @@ class TestLargeFiles:
             path.write_bytes(text.replace("\n", end).encode())
             peak, error = self.peak(parse_dag_file, path)
             assert error is None
-            assert peak < 6.6 * self.MB
+            assert peak < 5.5 * self.MB
 
 
 class TestWholeTextReads:
@@ -873,6 +966,9 @@ class TestWholeTextReads:
             (parse_tree_file, "tree 3\n0 1 5\n", "1: expected 2 edge lines, found 1"),
             (parse_tree_file, "tree 3\n0 1 5 2\n3 7\n", "2:1: expected 'parent child label'"),
             (parse_tree_file, "tree 3\n0 1 5\n0 1 6\n", "3: duplicate child 1"),
+            (parse_tree_file, "tree 4\n0 1 5\n0 1 6\n2 3\n", "4:1: expected 'parent child label'"),
+            (parse_tree_file, "tree 4\n0 1 5\n2 3 7\n3 2 7\n",
+             "4: node 2 is not reachable from the root"),
             (parse_dag_file, "dag 0 0\n", "1: vertex count must be at least 1"),
             (parse_dag_file, "\rdag 2 -1\r", "2: edge count cannot be negative"),
             (parse_dag_file, "dag 2 1\n0 7 1\n", "2: unknown target vertex 7"),
@@ -881,7 +977,8 @@ class TestWholeTextReads:
         ],
         ids=[
             "single-line", "bad-token", "missing-header", "bad-header", "node-count",
-            "edge-lines", "arity", "duplicate-child", "vertex-count", "edge-count",
+            "edge-lines", "arity", "duplicate-child", "duplicate-then-arity",
+            "unreachable", "vertex-count", "edge-count",
             "unknown-vertex", "out-of-range",
         ],
     )
