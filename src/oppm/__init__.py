@@ -8,56 +8,47 @@ search.  Brute-force counterparts of every matcher live in
 ``oppm.oracles``.
 """
 
-from .dag import (
-    DagValidationError,
-    TextDag,
-    build_dag,
-    build_dasg,
-    match_dag,
-    match_dag_explored,
-    opsm,
-)
-from .gen import (
-    AdversarialInstance,
-    gen_adversarial,
-    gen_random_dag,
-    gen_random_string,
-    gen_random_tree,
-)
-from .pattern import (
-    PatternTables,
-    build_pattern_tables,
-    compute_border_array,
-    compute_lmax_lmin,
-    op_isomorphic,
-)
-from .stringmatch import MatchStats, match_string
-from .tree import TextTree, TreeValidationError, build_tree
-from .treematch import TreeMatchReport, match_tree
+# Each public name's module, imported on the name's first use (PEP 562), so
+# that ``python -m oppm.cli`` loads only the modules the CLI imports.
+_MODULES = {
+    "AdversarialInstance": "gen",
+    "DagValidationError": "dag",
+    "MatchStats": "stringmatch",
+    "PatternTables": "pattern",
+    "TextDag": "dag",
+    "TextTree": "tree",
+    "TreeMatchReport": "treematch",
+    "TreeValidationError": "tree",
+    "build_dag": "dag",
+    "build_dasg": "dag",
+    "build_pattern_tables": "pattern",
+    "build_tree": "tree",
+    "compute_border_array": "pattern",
+    "compute_lmax_lmin": "pattern",
+    "gen_adversarial": "gen",
+    "gen_random_dag": "gen",
+    "gen_random_string": "gen",
+    "gen_random_tree": "gen",
+    "match_dag": "dag",
+    "match_dag_explored": "dag",
+    "match_string": "stringmatch",
+    "match_tree": "treematch",
+    "op_isomorphic": "pattern",
+    "opsm": "dag",
+}
 
-__all__ = [
-    "AdversarialInstance",
-    "DagValidationError",
-    "MatchStats",
-    "PatternTables",
-    "TextDag",
-    "TextTree",
-    "TreeMatchReport",
-    "TreeValidationError",
-    "build_dag",
-    "build_dasg",
-    "build_pattern_tables",
-    "build_tree",
-    "compute_border_array",
-    "compute_lmax_lmin",
-    "gen_adversarial",
-    "gen_random_dag",
-    "gen_random_string",
-    "gen_random_tree",
-    "match_dag",
-    "match_dag_explored",
-    "match_string",
-    "match_tree",
-    "op_isomorphic",
-    "opsm",
-]
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

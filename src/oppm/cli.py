@@ -21,12 +21,15 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .dag import DagValidationError, TextDag, build_dag, build_dasg, match_dag, opsm
-from .gen import gen_adversarial, gen_random_dag, gen_random_string, gen_random_tree
-from .oracles import OPSM_TEXT_LIMIT, naive_match_string, naive_match_tree, naive_opsm
 from .pattern import INT64_MAX, INT64_MIN, build_pattern_tables
 from .stringmatch import match_string
 from .tree import TextTree, TreeValidationError, build_tree
 from .treematch import match_tree
+
+# The generators (with random) and the brute-force oracles are imported by
+# the handlers that run them, so no match command's start-up pays for them.
+# The layer modules above stay module globals of this one: the benchmark's
+# tracing wraps their functions as attributes of oppm.cli.
 
 # size caps for --oracle reroutes; the brute-force paths are quadratic
 # (strings, trees) or exponential (opsm, capped by OPSM_TEXT_LIMIT)
@@ -58,6 +61,8 @@ class ParseError(ValueError):
 # beside the result.  Each fault is found in the slice that holds it, at a
 # position in the whole text, which is read only to locate a fault; read so,
 # a byte that is not valid UTF-8 is a lone surrogate, and the first fault.
+# A file that is not a regular one, such as a pipe, cannot be read again,
+# so it is read that way from the start and its text is kept.
 # A tree file's edges reach build_tree as they are converted, three
 # integers at a time (_TreeEdges), and match-string's text reaches the
 # automaton a slice's integers at a time (_Ints); a DAG file's integers are
@@ -69,6 +74,9 @@ _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 _TOKEN = re.compile(r"\S+")
 # a content line (a line with a token), from its first token to its end
 _CONTENT = re.compile(r"\S[^\n]*")
+# surrogateescape's stand-ins for bytes that are not valid UTF-8, compiled
+# on first use
+_UNDECODED = "[\udc80-\udcff]"
 
 
 # what int() accepts as a base-10 token: Unicode decimal digits, single
@@ -122,22 +130,36 @@ class _Input:
         self.path = path
         self.slices = self._slices()
         self.start = 0  # the text position ``ints`` starts at
+        self.pipe = None  # a file that is not a regular one, while open
+        self.kept: list[str] = []  # the reads of ``pipe``
 
     def _reads(self):
         """The text in reads of _SLICE characters, or the error at the first
-        byte that is not valid UTF-8."""
+        byte that is not valid UTF-8.  A pipe's reads are kept."""
         try:
             with open(self.path, encoding="utf-8") as f:
+                if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    f.reconfigure(errors="surrogateescape")
+                    self.pipe = f
                 while read := f.read(_SLICE):
+                    if self.pipe is not None:
+                        self.kept.append(read)
+                        if re.search(_UNDECODED, read):
+                            raise self.error("not valid UTF-8", 0)
                     yield read
         except UnicodeDecodeError:
             raise self.error("not valid UTF-8", 0) from None
 
     @cached_property
     def text(self) -> str:
-        """The whole text, read again to locate a fault."""
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
-            return f.read()
+        """The whole text, read again to locate a fault; a pipe's is the
+        text kept and the rest of it."""
+        if self.pipe is None:
+            with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+                return f.read()
+        if not self.pipe.closed:
+            self.kept.append(self.pipe.read())
+        return "".join(self.kept)
 
     def _slices(self):
         """The text in slices, each cut just after its first whitespace
@@ -157,8 +179,7 @@ class _Input:
         """The error at text position ``pos``: on its line, and with
         ``column`` at its column.  A byte that is not valid UTF-8 comes
         before every other fault, on its own line."""
-        # surrogateescape's stand-ins for bytes that are not valid UTF-8
-        undecoded = re.search("[\udc80-\udcff]", self.text)
+        undecoded = re.search(_UNDECODED, self.text)
         if undecoded is not None:
             msg, pos, column = "not valid UTF-8", undecoded.start(), False
         col = pos - self.text.rfind("\n", 0, pos) if column else None
@@ -462,6 +483,8 @@ def _match_lines(ids, stats=None) -> str:
 def _match_string(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     if ns.oracle:
+        from .oracles import naive_match_string
+
         t = parse_pattern_file(ns.text)
         _oracle_fits(len(t), ORACLE_LIMIT, "texts of length <= {}")
         return _match_lines(naive_match_string(p, t))
@@ -477,6 +500,8 @@ def _match_tree(ns: argparse.Namespace) -> str:
     p = _load_pattern(ns.pattern)
     tree = parse_tree_file(ns.tree)
     if ns.oracle:
+        from .oracles import naive_match_tree
+
         _oracle_fits(tree.node_count, ORACLE_LIMIT, "trees with <= {} nodes")
         return _match_lines(naive_match_tree(p, tree))
     report = match_tree(build_pattern_tables(p), tree, prune=ns.prune)
@@ -500,6 +525,8 @@ def _opsm(ns: argparse.Namespace) -> str:
     p = parse_pattern_file(ns.pattern)
     t = parse_pattern_file(ns.text)
     if ns.oracle:
+        from .oracles import OPSM_TEXT_LIMIT, naive_opsm
+
         _oracle_fits(len(t), OPSM_TEXT_LIMIT, "texts of length <= {}")
         found = naive_opsm(p, t)
     else:
@@ -507,10 +534,13 @@ def _opsm(ns: argparse.Namespace) -> str:
     return "yes\n" if found else "no\n"
 
 
-def _generate(gen, *args):
-    """``gen(*args)``, with its ValueError for a bad argument as a UsageError."""
+def _generate(name: str, *args):
+    """``oppm.gen``'s function ``name`` called with ``args``, with its
+    ValueError for a bad argument as a UsageError."""
+    from . import gen
+
     try:
-        return gen(*args)
+        return getattr(gen, name)(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -522,23 +552,23 @@ def _gen_adversarial(ns: argparse.Namespace) -> str:
         raise UsageError("--tree-out and --pattern-out name the same file")
     h = ns.height
     m = ns.pattern_length if ns.pattern_length is not None else h - 2
-    inst = _generate(gen_adversarial, h, m)
+    inst = _generate("gen_adversarial", h, m)
     if ns.pattern_out is not None:
         _emit(pattern_file_text(inst.pattern), ns.pattern_out)
     return tree_file_text(inst.tree)
 
 
 def _gen_random_string(ns: argparse.Namespace) -> str:
-    s = _generate(gen_random_string, ns.length, ns.alphabet, ns.seed)
+    s = _generate("gen_random_string", ns.length, ns.alphabet, ns.seed)
     return pattern_file_text(s)
 
 
 def _gen_random_tree(ns: argparse.Namespace) -> str:
-    return tree_file_text(_generate(gen_random_tree, ns.nodes, ns.alphabet, ns.seed))
+    return tree_file_text(_generate("gen_random_tree", ns.nodes, ns.alphabet, ns.seed))
 
 
 def _gen_random_dag(ns: argparse.Namespace) -> str:
-    dag = _generate(gen_random_dag, ns.vertices, ns.density, ns.alphabet, ns.seed)
+    dag = _generate("gen_random_dag", ns.vertices, ns.density, ns.alphabet, ns.seed)
     return dag_file_text(dag)
 
 

@@ -21,11 +21,11 @@ and never an answer.
 
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import getitem, itemgetter, lt
 from types import SimpleNamespace
 
+from ._record import FrozenRecord
 from .pattern import PatternTables, build_pattern_tables
 
 # Most failed-subtree keys one search records: about 50 MB of key tuples
@@ -46,16 +46,15 @@ class DagValidationError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class TextDag:
+class TextDag(FrozenRecord, hidden=("out", "longest")):
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]  # (source, label, target), as given
     # Search tables derived by build_dag, left out of ==, hash and repr:
     # out[u] is u's out-edges, the very tuples of ``edges``, sorted by
     # (target, label); longest[u] is the edge count of the longest path
     # leaving u.
-    out: list[list[tuple[int, int, int]]] = field(compare=False, repr=False)
-    longest: list[int] = field(compare=False, repr=False)
+    out: list[list[tuple[int, int, int]]]
+    longest: list[int]
 
 
 def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextDag:

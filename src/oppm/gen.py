@@ -9,16 +9,15 @@ branch points while the pruned matcher cuts each chain after two steps.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import islice, repeat
 
+from ._record import FrozenRecord
 from .dag import TextDag, build_dag
 from .pattern import INT64_MAX
 from .tree import TextTree, build_tree
 
 
-@dataclass(frozen=True)
-class AdversarialInstance:
+class AdversarialInstance(FrozenRecord):
     tree: TextTree
     pattern: tuple[int, ...]
 

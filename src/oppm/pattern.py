@@ -27,14 +27,14 @@ itself.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+
+from ._record import FrozenRecord
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class PatternTables:
+class PatternTables(FrozenRecord):
     """Immutable compiled form of a pattern."""
 
     values: tuple[int, ...]

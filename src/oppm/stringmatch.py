@@ -1,13 +1,12 @@
 """Order-preserving matching over a single text string."""
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
+from ._record import Record
 from .pattern import PatternTables
 
 
-@dataclass
-class MatchStats:
+class MatchStats(Record):
     """Automaton transition counts from one matching run."""
 
     goto_count: int

@@ -19,8 +19,9 @@ parent's children in flat arrays, and then walks those once.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
+
+from ._record import FrozenRecord
 
 
 class TreeValidationError(ValueError):
@@ -34,8 +35,7 @@ class TreeValidationError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class TextTree:
+class TextTree(FrozenRecord, hidden=("labels", "depths", "heights")):
     node_count: int
     parent: tuple[int, ...]  # parent[0] = -1
     edge_label: tuple[int, ...]  # edge_label[v] labels the edge parent[v] -> v
@@ -43,9 +43,9 @@ class TextTree:
     preorder: tuple[int, ...]  # siblings in input order
     # Search tables by preorder position, derived by build_tree and left out
     # of ==, hash and repr (labels[0] is 0: the root has no edge)
-    labels: tuple[int, ...] = field(compare=False, repr=False)
-    depths: tuple[int, ...] = field(compare=False, repr=False)
-    heights: tuple[int, ...] = field(compare=False, repr=False)
+    labels: tuple[int, ...]
+    depths: tuple[int, ...]
+    heights: tuple[int, ...]
 
     @cached_property
     def depth(self) -> tuple[int, ...]:

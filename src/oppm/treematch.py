@@ -17,16 +17,15 @@ and every node below it inherits that mark without a transition.
 Pruning never changes the match set, only the failure-transition count.
 """
 
-from dataclasses import dataclass
 from itertools import islice, repeat
 
+from ._record import Record
 from .pattern import PatternTables
 from .stringmatch import MatchStats
 from .tree import TextTree
 
 
-@dataclass
-class TreeMatchReport:
+class TreeMatchReport(Record):
     """Matched node ids (ascending) plus transition counts."""
 
     matched_nodes: list[int]

@@ -1349,23 +1349,82 @@ class TestExitCodes:
         assert "pattern must be non-empty" in capsys.readouterr().err
 
 
+def _child(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports oppm from where this
+    test did, installed or not."""
+    path = [str(Path(oppm.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        **kwargs,
+    )
+
+
 def test_console_script_entry_point(tmp_path):
     p = tmp_path / "p.txt"
     t = tmp_path / "t.txt"
     p.write_text(WORKED_PATTERN)
     t.write_text(WORKED_TEXT)
-    # the child imports oppm from where this test did, installed or not
-    path = [str(Path(oppm.__file__).parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    proc = subprocess.run(
-        [sys.executable, "-m", "oppm.cli", "match-string", str(p), str(t)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    )
+    proc = _child(["-m", "oppm.cli", "match-string", str(p), str(t)], text=True)
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+class TestPipedInput:
+    """A file that is not a regular one cannot be read again: its faults are
+    located in the text kept as it was read, at the regular file's place."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"tree 3\n0 1 5\n\n\n1 2 x\n", "5:5: not an integer: 'x'"),
+            (b"tree 3\n0 1 5\n0 1 6\n", "3: duplicate child 1"),
+            (b"tree 3\n0 1 5\n1 2\n", "3:1: expected 'parent child label'"),
+            (b"tree 3 x\n0 1 5\n1 2 \xff\n", "3: not valid UTF-8"),
+            (b"tree 3\n0 1 5\n" + b"\n" * 10**5 + b"0 1 6\n",
+             "100003: duplicate child 1"),
+        ],
+        ids=["bad-token", "duplicate-child", "arity", "undecoded-byte", "past-first-read"],
+    )
+    def test_fault_in_a_pipe(self, files, data, message):
+        p = files("p.txt", "2 1 3\n")
+        path = files("t.txt", "")
+        Path(path).write_bytes(data)
+        for name, kwargs in [(path, {}), ("/dev/stdin", {"input": data})]:
+            proc = _child(["-m", "oppm.cli", "match-tree", p, name], **kwargs)
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert proc.stderr.decode() == f"error: {name}:{message}\n"
+
+    def test_valid_pipe(self, files):
+        p = files("p.txt", "2 1 3\n")
+        text = tree_file_text(gen_random_tree(2 * 10**4, 5, 3))
+        path = files("t.txt", text)
+        args = ["-m", "oppm.cli", "match-tree", p]
+        proc = _child([*args, "/dev/stdin", "--stats"], input=text.encode())
+        assert proc.returncode == 0
+        assert proc.stdout == _child([*args, path, "--stats"]).stdout
+        assert proc.stdout.count(b"\n") > 1
+
+
+def test_cli_start_up_loads_only_what_it_runs():
+    """``import oppm.cli`` leaves out the generators, the oracles and the
+    standard modules only they or dataclasses would load; the package's
+    names are still all there, each imported on first use."""
+    held = ["dataclasses", "inspect", "random", "oppm.gen", "oppm.oracles"]
+    script = f"import sys, oppm.cli; print(*[m for m in {held!r} if m in sys.modules])"
+    proc = _child(["-S", "-c", script], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+    for name in oppm.__all__:
+        value = getattr(oppm, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(oppm.__all__) <= set(dir(oppm))
+    with pytest.raises(AttributeError):
+        oppm.no_such_name
 
 
 def _command_paths(parser, prefix=()):

@@ -1,6 +1,5 @@
 """Tree construction, validation, and the height/depth bookkeeping."""
 
-import dataclasses
 import random
 from itertools import chain
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from oppm.gen import gen_adversarial, gen_random_tree
 from oppm.tree import TextTree, TreeValidationError, build_tree
+from test_records import TREE_FIELDS
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -333,7 +333,7 @@ FORMS = {"tuple": tuple, "flat view": FlatTriples}
 
 def every_field(tree):
     """All of a TextTree's fields, the tables left out of == included."""
-    return {f.name: getattr(tree, f.name) for f in dataclasses.fields(tree)}
+    return {name: getattr(tree, name) for name in TREE_FIELDS}
 
 
 class TestEdgeCollections:
