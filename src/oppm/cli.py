@@ -52,21 +52,20 @@ class ParseError(ValueError):
 # file parsing
 #
 # A file is read once, in text mode, _SLICE characters at a time; text mode
-# decodes UTF-8 and makes every line end \n, across reads too.  The text is
-# cut into slices of about _SLICE characters, each just after a whitespace
-# character so that no token is split, and a slice's tokens go through int()
-# together.  A tree or DAG header is taken off the first slices, and the
-# rest are the body.  A slice is dropped before the next one is cut, so
-# neither the whole text nor a list of the file's lines or tokens lives
-# beside the result.  Each fault is found in the slice that holds it, at a
-# position in the whole text, which is read only to locate a fault; read so,
-# a byte that is not valid UTF-8 is a lone surrogate, and the first fault.
-# A file that is not a regular one, such as a pipe, cannot be read again,
-# so it is read that way from the start and its text is kept.
-# A tree file's edges reach build_tree as they are converted, three
-# integers at a time (_TreeEdges), and match-string's text reaches the
-# automaton a slice's integers at a time (_Ints); a DAG file's integers are
-# checked before build_dag reads them.
+# decodes UTF-8 and makes every line end \n, across reads too.  A byte that
+# is not valid UTF-8 reads as a lone surrogate, and is the file's first
+# fault.  The text is cut into slices of about _SLICE characters, each just
+# after a whitespace character so that no token is split, and a slice's
+# tokens go through int() together.  A tree or DAG header is taken off the
+# first slices, and the rest are the body.  A slice is dropped before the
+# next one is cut, so neither the whole text nor a list of the file's lines
+# or tokens lives beside the result.  Each fault is found in the slice that
+# holds it, at a position in the whole text, which is read only to locate a
+# fault.  A file that is not a regular one, such as a pipe, cannot be read
+# again, so its text is kept.  The body's integers are one view, _Input
+# itself, which hands them on a slice at a time: to the automaton for
+# match-string, to build_tree three at a time (_TreeEdges), and into one
+# tuple for a pattern or a DAG file.
 
 _SLICE = 1 << 16
 
@@ -119,46 +118,49 @@ def _convert(tokens: list[str]) -> list[int] | None:
 
 class _Input:
     """One input file, read once, a slice at a time: ``header`` takes the
-    first content line of a tree or DAG file, and ``ints`` converts the
-    text after it, counting its content lines in ``lines`` and noting in
-    ``wrong`` the first of them without the given number of tokens.
-    ``ints`` raises nothing: the caller checks the number of lines once
-    they are read, and then ``check`` raises the first fault on them.
-    Every error reads ``text`` to locate its fault."""
+    first content line of a tree or DAG file, and ``ints`` sets the line
+    rule for the text after it.  The _Input is then the view of that
+    text's integers: iterated, it yields them a slice's list at a time,
+    counting its content lines in ``lines`` and noting in ``wrong`` the
+    first of them without the rule's number of tokens, and its length is
+    the number of integers it has yielded.  Of the faults, only a byte
+    that is not valid UTF-8 is raised as it is read: ``finish`` reads to
+    the end and raises the first fault under the rule.  Every error reads
+    ``text`` to locate its fault."""
 
     def __init__(self, path: str):
         self.path = path
         self.slices = self._slices()
         self.start = 0  # the text position ``ints`` starts at
-        self.pipe = None  # a file that is not a regular one, while open
-        self.kept: list[str] = []  # the reads of ``pipe``
+        # a regular file's size in bytes; a file that is not a regular one,
+        # such as a pipe, has none, and its reads are kept
+        self.size: int | None = None
+        self.kept: list[str] = []
 
     def _reads(self):
         """The text in reads of _SLICE characters, or the error at the first
         byte that is not valid UTF-8.  A pipe's reads are kept."""
-        try:
-            with open(self.path, encoding="utf-8") as f:
-                if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                    f.reconfigure(errors="surrogateescape")
-                    self.pipe = f
-                while read := f.read(_SLICE):
-                    if self.pipe is not None:
-                        self.kept.append(read)
-                        if re.search(_UNDECODED, read):
-                            raise self.error("not valid UTF-8", 0)
-                    yield read
-        except UnicodeDecodeError:
-            raise self.error("not valid UTF-8", 0) from None
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
+            self.file = f  # the rest of a pipe's text is read off it
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                self.size = st.st_size
+            while read := f.read(_SLICE):
+                if self.size is None:
+                    self.kept.append(read)
+                if not read.isascii() and re.search(_UNDECODED, read):
+                    raise self.error("not valid UTF-8", 0)
+                yield read
 
     @cached_property
     def text(self) -> str:
         """The whole text, read again to locate a fault; a pipe's is the
         text kept and the rest of it."""
-        if self.pipe is None:
+        if self.size is not None:
             with open(self.path, encoding="utf-8", errors="surrogateescape") as f:
                 return f.read()
-        if not self.pipe.closed:
-            self.kept.append(self.pipe.read())
+        if not self.file.closed:
+            self.kept.append(self.file.read())
         return "".join(self.kept)
 
     def _slices(self):
@@ -219,27 +221,34 @@ class _Input:
         self.start += head.end()
         return values
 
-    def ints(self, arity: int | None = None) -> "_Ints":
-        """The integers from text position ``start`` on, in file order, a
-        slice at a time; ``wrong`` is the index of the first content line
-        without ``arity`` tokens, if one is given.  The first slice with a
-        token that is not a signed 64-bit integer ends them, so then they
-        stop short and ``check`` raises."""
+    def ints(self, arity: int | None = None, count: int | None = None, what: str = ""):
+        """This view of the integers from text position ``start`` on, under
+        the line rule: ``count`` content lines of ``arity`` tokens each,
+        which read ``what``, or with no ``count`` at most one line.  The
+        first slice with a token that is not a signed 64-bit integer ends
+        them, so then they stop short and ``finish`` raises."""
+        self.arity, self.count, self.what = arity, count, what
         self.lines = 0
         self.wrong: int | None = None
         self.bad: tuple[int, str] | None = None  # its first bad token's fault
-        return _Ints(self._chunks(arity))
+        self.yielded = 0
+        self.chunks = self._chunks()
+        return self
 
-    def values(self, arity: int | None = None) -> tuple[int, ...]:
-        """The integers of ``ints``, in one tuple."""
-        return tuple(chain.from_iterable(self.ints(arity)))
+    def __len__(self) -> int:
+        return self.yielded
 
-    def _chunks(self, arity: int | None):
+    def __iter__(self):
+        return self.chunks
+
+    def _chunks(self):
         """The integers of each slice, a list at a time; ``lines`` and
         ``wrong`` are complete once the generator is."""
         carry = 0  # tokens so far on the line the last slice ended in
         pos = self.start
-        for piece in self.slices:
+        arity = self.arity
+        # a line end after the text ends its last line
+        for piece in chain(self.slices, ["\n"]):
             tokens = piece.split()
             lines = piece.split("\n")
             if len(lines) == 1:
@@ -250,7 +259,11 @@ class _Input:
                 tally = list(map(len, map(str.split, lines)))
             tally[0] += carry
             carry = tally.pop()
-            self._count(tally, arity)
+            # the content lines among those the slice ends
+            tally = list(filter(None, tally))
+            if self.wrong is None and arity is not None and tally.count(arity) < len(tally):
+                self.wrong = self.lines + next(i for i, n in enumerate(tally) if n != arity)
+            self.lines += len(tally)
             if self.bad is None:
                 chunk = _convert(tokens)
                 if chunk is None:
@@ -263,16 +276,8 @@ class _Input:
             # the slice's strings go before the next slice is read
             del piece, tokens, lines
             if self.bad is None:
+                self.yielded += len(chunk)
                 yield chunk
-        self._count([carry], arity)
-
-    def _count(self, tally: list[int], arity: int | None) -> None:
-        """Add the lines of ``tally`` tokens each that have a token to
-        ``lines``, and note the first without ``arity`` tokens."""
-        tally = list(filter(None, tally))
-        if self.wrong is None and arity is not None and tally.count(arity) < len(tally):
-            self.wrong = self.lines + next(i for i, n in enumerate(tally) if n != arity)
-        self.lines += len(tally)
 
     def row(self, index: int) -> int:
         """The text position of the first token of content line ``index``
@@ -280,95 +285,62 @@ class _Input:
         lines = _CONTENT.finditer(self.text, self.start)
         return next(islice(lines, index, None)).start()
 
-    def check(self, what: str = "") -> None:
-        """Raise the first fault on the lines ``ints`` read, in file order:
-        a line with the wrong number of tokens ("expected '{what}'",
-        reported before the tokens on it), or a token that is not a signed
-        64-bit integer."""
+    def finish(self) -> None:
+        """Read the rest of the file and raise its first fault under the
+        line rule: a second content line, or other than ``count`` of them;
+        else, in file order, a line without ``arity`` tokens ("expected
+        '{what}'", reported before the tokens on it) or a token that is not
+        a signed 64-bit integer."""
+        for _ in self.chunks:
+            pass
+        if self.count is None and self.lines > 1:
+            raise self.error("expected a single line of integers", self.row(1))
+        if self.count is not None and self.lines != self.count:
+            msg = f"expected {self.count} edge lines, found {self.lines}"
+            raise self.error(msg, self.head, column=False)
         fault = self.bad  # (text position, message)
         if self.wrong is not None:
             pos = self.row(self.wrong)
             if fault is None or pos <= fault[0]:
-                fault = pos, f"expected '{what}'"
+                fault = pos, f"expected '{self.what}'"
         if fault is not None:
             raise self.error(fault[1], fault[0])
-
-    def check_line(self) -> None:
-        """``check`` for a pattern or string file, which holds one line: a
-        second content line is its first fault."""
-        if self.lines > 1:
-            raise self.error("expected a single line of integers", self.row(1))
-        self.check()
-
-    def check_edges(self, count: int, what: str) -> None:
-        """``check`` for ``count`` edge lines after the header, each
-        ``what``: a different number of lines is their first fault."""
-        if self.lines != count:
-            msg = f"expected {count} edge lines, found {self.lines}"
-            raise self.error(msg, self.head, column=False)
-        self.check(what)
 
 
 def parse_pattern_file(path: str) -> tuple[int, ...]:
     """One line of integers; an empty file is the empty sequence."""
     f = _Input(path)
-    values = f.values()
-    f.check_line()
+    values = tuple(chain.from_iterable(f.ints()))
+    f.finish()
     return values
 
 
-class _Ints:
-    """A file's integers as the lists ``_Input._chunks`` yields, one per
-    slice; its length is the number of integers it has yielded, the file's
-    once they are all read."""
-
-    def __init__(self, chunks):
-        self.chunks = chunks
-        self.count = 0
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        for chunk in self.chunks:
-            self.count += len(chunk)
-            yield chunk
-
-
 class _TreeEdges:
-    """A tree file's ``count`` edge lines as ``(parent, child, label)``
-    triples, read off each slice's integers as they are converted: a zip
-    of one iterator with itself, whose tuple lives one loop step.  Its
-    length is the header's count, so ``build_tree`` runs while the file is
-    read.  ``finish`` reads the rest of the file and raises its first
-    fault; a second iteration, by which ``build_tree`` names an unreachable
-    node's edge, finishes first and then converts the text again, so it
+    """A tree file's edge lines as ``(parent, child, label)`` triples, read
+    off each slice's integers as they are converted: a zip of one iterator
+    with itself, whose tuple lives one loop step.  Its length is the
+    header's count, so ``build_tree`` runs while the file is read.  A
+    second iteration, by which ``build_tree`` names an unreachable node's
+    edge, finishes the file first and then converts the text again, so it
     only ever reads a file with no fault that comes before a structural
     one."""
 
     def __init__(self, f: _Input, count: int):
-        self.f = f
-        self.count = count
-        self.ints = f.ints(3)
+        self.f = f.ints(3, count, "parent child label")
         self.read = False
 
     def __len__(self) -> int:
-        return self.count
+        return self.f.count
 
     def __iter__(self):
         if self.read:
-            self.finish()
+            self.f.finish()
             flat = _convert(self.f.text[self.f.start :].split())
         else:
             self.read = True
-            flat = chain.from_iterable(self.ints)
+            flat = chain.from_iterable(self.f)
         it = iter(flat)
         return zip(it, it, it)
-
-    def finish(self) -> None:
-        for _ in self.ints:
-            pass
-        self.f.check_edges(self.count, "parent child label")
 
 
 def parse_tree_file(path: str) -> TextTree:
@@ -384,20 +356,18 @@ def parse_tree_file(path: str) -> TextTree:
     # line but the last with its end, take at least 6n bytes; a shorter file
     # has a count or arity fault, raised before build_tree sizes its lists
     # by n
-    st = os.stat(path)
-    if stat.S_ISREG(st.st_mode) and st.st_size < 6 * n:
-        edges.finish()
+    if f.size is not None and f.size < 6 * n:
+        f.finish()
     try:
         tree = build_tree(edges)
-    except TreeValidationError as exc:
-        edges.finish()
+    except (TreeValidationError, MemoryError) as exc:
+        f.finish()
+        if isinstance(exc, MemoryError):
+            # a pipe is not sized first, so its lines may not back the
+            # header's n
+            raise f.error(f"node count {n} is too large", f.head, column=False) from None
         raise f.error(str(exc), f.row(exc.edge), column=False) from exc
-    except MemoryError:
-        # a file that is not a regular one, such as a pipe, is not sized
-        # first, so its lines may not back the header's n
-        edges.finish()
-        raise f.error(f"node count {n} is too large", f.head, column=False) from None
-    edges.finish()
+    f.finish()
     return tree
 
 
@@ -410,8 +380,8 @@ def parse_dag_file(path: str) -> TextDag:
     if e_count < 0:
         raise f.error("edge count cannot be negative", f.head, column=False)
     # the iterator lets go of the integers once the edges are read off it
-    it = iter(f.values(3))
-    f.check_edges(e_count, "source target label")
+    it = iter(tuple(chain.from_iterable(f.ints(3, e_count, "source target label"))))
+    f.finish()
     # file lines are 'source target label', DAG edges (source, label, target)
     edges = [(u, c, v) for u, v, c in zip(it, it, it)]
     try:
@@ -492,7 +462,7 @@ def _match_string(ns: argparse.Namespace) -> str:
     # raised after the match, and main then writes nothing to stdout
     f = _Input(ns.text)
     positions, stats = match_string(build_pattern_tables(p), f.ints())
-    f.check_line()
+    f.finish()
     return _match_lines(positions, stats if ns.stats else None)
 
 

@@ -57,7 +57,7 @@ class TextDag(FrozenRecord, hidden=("out", "longest")):
     longest: list[int]
 
 
-def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextDag:
+def build_dag(vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> TextDag:
     """Validate (source, label, target) triples and build the search tables.
 
     The triples are kept as given; parallel edges are allowed.  Raises
@@ -68,8 +68,9 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
     vertex ids are already a topological order and Kahn's pass is skipped.
     """
     n = vertex_count
-    # first allocation: an unallocatable n raises MemoryError here at once,
-    # where building n lists one by one would grow until the process dies
+    edges = tuple(edges)  # the record keeps it, and an error names an index
+    # first allocation by n: an unallocatable n raises MemoryError here at
+    # once, where building n lists one by one would grow until the process dies
     longest = [0] * n
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     forward = True
@@ -93,7 +94,7 @@ def build_dag(vertex_count: int, edges: Sequence[tuple[int, int, int]]) -> TextD
             if not all(map(lt, ts, islice(ts, 1, None))):
                 out[u].sort(key=by_target)
             longest[u] = max(map(longest.__getitem__, ts)) + 1
-    return TextDag(n, tuple(edges), out, longest)
+    return TextDag(n, edges, out, longest)
 
 
 def _topological_order(

@@ -10,8 +10,7 @@ reads them in order: ``labels[k]``, ``depths[k]`` and ``heights[k]`` are
 the edge label, depth and subtree height (the length of the longest
 downward path to a leaf) of node ``preorder[k]``.  The parent of position
 k is the last position before it at depth ``depths[k] - 1``, so no parent
-positions are stored.  ``depth`` gives the depths by node id; it is
-derived on first read.
+positions are stored.
 
 ``build_tree`` takes any sized collection of edge triples and makes no
 per-node container: as it checks each edge it links the node to its
@@ -19,7 +18,6 @@ parent's children in flat arrays, and then walks those once.
 """
 
 from collections.abc import Iterable
-from functools import cached_property
 
 from ._record import FrozenRecord
 
@@ -46,14 +44,6 @@ class TextTree(FrozenRecord, hidden=("labels", "depths", "heights")):
     labels: tuple[int, ...]
     depths: tuple[int, ...]
     heights: tuple[int, ...]
-
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        """Each node's depth, by node id."""
-        out = [0] * self.node_count
-        for v, d in zip(self.preorder, self.depths):
-            out[v] = d
-        return tuple(out)
 
 
 def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:

@@ -24,6 +24,7 @@ from oppm.pattern import build_pattern_tables, compute_border_array, compute_lma
 from oppm.stringmatch import match_string
 from oppm.tree import build_tree
 from oppm.treematch import match_tree
+from test_tree import node_depths
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -262,7 +263,8 @@ def test_9_chain_bridge():
         tables = build_pattern_tables(p)
         positions, _ = match_string(tables, labels)
         report = match_tree(tables, chain)
-        if [chain.depth[v] for v in report.matched_nodes] != positions:
+        depth = node_depths(chain)
+        if [depth[v] for v in report.matched_nodes] != positions:
             ok = False
     _report(
         9,

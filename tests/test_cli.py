@@ -27,7 +27,9 @@ from oppm.cli import (
 )
 from oppm.dag import DagValidationError, build_dag, build_dasg
 from oppm.gen import gen_random_string, gen_random_tree
+from oppm.stringmatch import match_string
 from oppm.tree import TreeValidationError, build_tree
+from test_tree import node_depths
 
 WORKED_PATTERN = "22 41 35 37\n"
 WORKED_TEXT = "63 18 48 29 42 56 25 51\n"
@@ -78,7 +80,7 @@ class TestTreeFileParsing:
         path = files("t.txt", "tree 5\n0 1 10\n1 2 20\n1 3 5\n2 4 30\n")
         tree = parse_tree_file(path)
         assert tree.node_count == 5
-        assert tree.depth == (0, 1, 2, 2, 3)
+        assert node_depths(tree) == (0, 1, 2, 2, 3)
 
     def test_single_node(self, files):
         tree = parse_tree_file(files("t.txt", "tree 1\n"))
@@ -986,6 +988,46 @@ class TestWholeTextReads:
         path = files("f.txt", text)
         assert _outcome(parse, path) == ("error", f"{path}:{message}")
         assert reads == [path]
+
+
+class TestLayerViews:
+    """The reader hands match_string and build_tree views of the file's
+    integers, not sequences; a traced run reads their lengths, after the
+    call, as the layers' input sizes."""
+
+    def test_match_string_view_has_the_text_length(self, tmp_path, files, monkeypatch, capsys):
+        seen = []
+
+        def spy(tables, t):
+            found, stats = match_string(tables, t)
+            seen.append((len(t), stats.goto_count))
+            return found, stats
+
+        monkeypatch.setattr(cli, "match_string", spy)
+        path = tmp_path / "s.txt"
+        text = pattern_file_text(gen_random_string(10**5, 5, 3))
+        assert len(text) > 2 * cli._SLICE
+        for end in ["\n", "\r\n"]:
+            path.write_bytes(text.replace("\n", end).encode())
+            assert main(["match-string", files("p.txt", "2 1 3\n"), str(path)]) == 0
+        assert seen == [(10**5, 10**5)] * 2
+
+    def test_build_tree_view_has_the_edge_count(self, tmp_path, files, monkeypatch, capsys):
+        seen = []
+
+        def spy(edges):
+            before = len(edges)
+            tree = build_tree(edges)
+            seen.append((before, len(edges), tree.node_count - 1))
+            return tree
+
+        monkeypatch.setattr(cli, "build_tree", spy)
+        n = 2 * 10**4
+        text = tree_file_text(gen_random_tree(n, 5, 3))
+        assert len(text) > 2 * cli._SLICE
+        path = files("t.txt", text)
+        assert main(["match-tree", files("p.txt", "2 1 3\n"), path]) == 0
+        assert seen == [(n - 1, n - 1, n - 1)]
 
 
 class TestMatchCommands:

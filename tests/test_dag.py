@@ -168,6 +168,25 @@ class TestBuildDagAgainstKahn:
             assert got == expected
         assert faults > 300
 
+    def test_an_iterator_builds_as_its_list_does(self):
+        # the edges are read once, into the record's tuple: a generator
+        # gives the list's record, tables included, and its error and edge
+        dag = build_dag(3, (e for e in [(0, 5, 1), (1, 6, 2)]))
+        assert dag.edges == ((0, 5, 1), (1, 6, 2)) and dag.longest == [2, 1, 0]
+        rng = random.Random(1302)
+        faults = 0
+        for n, edges in self.edge_lists(rng):
+            if rng.random() < 0.25:
+                self.inject_fault(rng, n, edges)
+                faults += 1
+            want = build_outcome(build_dag, n, edges)
+            got = build_outcome(build_dag, n, (e for e in edges))
+            if isinstance(want, TextDag):
+                want = want, want.out, want.longest
+                got = got, got.out, got.longest
+            assert got == want
+        assert faults > 300
+
 
 def brute_longest(edges, u):
     return max((1 + brute_longest(edges, v) for w, _, v in edges if w == u), default=0)

@@ -17,7 +17,7 @@ from oppm.oracles import naive_match_tree
 from oppm.pattern import build_pattern_tables
 from oppm.tree import build_tree
 from oppm.treematch import match_tree
-from test_tree import children
+from test_tree import children, node_depths
 
 
 class TestAdversarialFamily:
@@ -32,8 +32,9 @@ class TestAdversarialFamily:
     def test_shape_invariants(self):
         h = 6
         tree = gen_adversarial(h, 4).tree
+        depth = node_depths(tree)
         for v in range(1, tree.node_count):
-            d = tree.depth[v]
+            d = depth[v]
             lab = tree.edge_label[v]
             parent_lab = tree.edge_label[tree.parent[v]]
             if d <= h - 2:
@@ -46,25 +47,23 @@ class TestAdversarialFamily:
                 assert lab == 0
         kids = children(tree)
         for v in range(tree.node_count):
-            if tree.depth[v] == h - 2:
+            if depth[v] == h - 2:
                 labels = sorted(tree.edge_label[c] for c in kids[v])
                 assert labels == [0, 1]
-        assert sum(1 for v in range(tree.node_count) if tree.depth[v] == h - 2) == 2 ** (h - 2)
+        assert sum(1 for v in range(tree.node_count) if depth[v] == h - 2) == 2 ** (h - 2)
 
     def test_every_branch_point_is_a_match_end(self):
         inst = gen_adversarial(5, 3)
         matched = naive_match_tree(inst.pattern, inst.tree)
-        branch_points = [
-            v for v in range(inst.tree.node_count) if inst.tree.depth[v] == 3
-        ]
+        depth = node_depths(inst.tree)
+        branch_points = [v for v in range(inst.tree.node_count) if depth[v] == 3]
         assert matched == branch_points
 
     def test_shorter_pattern_matches_every_deep_enough_level(self):
         inst = gen_adversarial(5, 2)
         matched = naive_match_tree(inst.pattern, inst.tree)
-        expected = [
-            v for v in range(inst.tree.node_count) if 2 <= inst.tree.depth[v] <= 3
-        ]
+        depth = node_depths(inst.tree)
+        expected = [v for v in range(inst.tree.node_count) if 2 <= depth[v] <= 3]
         assert matched == expected
 
     def test_single_character_pattern(self):

@@ -16,6 +16,7 @@ from oppm.oracles import (
     naive_opsm,
 )
 from oppm.tree import build_tree
+from test_tree import node_depths
 
 
 def test_oracles_import_no_fast_path_modules():
@@ -100,7 +101,8 @@ class TestNaiveMatchTree:
         p = (1, 2)
         positions = naive_match_string(p, labels)
         nodes = naive_match_tree(p, tree)
-        assert [tree.depth[v] for v in nodes] == positions
+        depth = node_depths(tree)
+        assert [depth[v] for v in nodes] == positions
 
 
 class TestNaiveOpsm:

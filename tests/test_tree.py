@@ -89,6 +89,14 @@ def children(tree: TextTree) -> list[list[int]]:
     return kids
 
 
+def node_depths(tree: TextTree) -> tuple[int, ...]:
+    """Each node's depth, by node id, read off preorder and depths."""
+    depth = [0] * tree.node_count
+    for v, d in zip(tree.preorder, tree.depths):
+        depth[v] = d
+    return tuple(depth)
+
+
 def compute_subtree_heights(tree: TextTree) -> tuple[int, ...]:
     """Recompute subtree heights with one traversal (children before parents)."""
     kids = children(tree)
@@ -115,7 +123,7 @@ class TestBuildTree:
         tree = build_tree(EXAMPLE_EDGES)
         assert tree.node_count == 5
         assert tree.max_depth == 3
-        assert tree.depth == (0, 1, 2, 2, 3)
+        assert node_depths(tree) == (0, 1, 2, 2, 3)
         assert tree.parent == (-1, 0, 1, 1, 2)
         assert tree.edge_label == (0, 10, 20, 5, 30)
         assert tree.preorder == (0, 1, 2, 4, 3)
@@ -178,6 +186,7 @@ class TestInvariants:
         tree = gen_random_tree(n, 5, seed)
         kids = children(tree)
         height = dict(zip(tree.preorder, tree.heights))
+        depth = node_depths(tree)
         for u in range(tree.node_count):
             assert height[u] < tree.node_count
             if kids[u]:
@@ -185,15 +194,16 @@ class TestInvariants:
                 assert height[u] == best + 1
             else:
                 assert height[u] == 0
-            assert tree.depth[u] + height[u] <= tree.max_depth
+            assert depth[u] + height[u] <= tree.max_depth
         # the root always sits on a longest root-to-leaf path
         assert tree.heights[0] == tree.max_depth
 
     @given(st.integers(1, 80), st.integers(0, 10**6))
     def test_child_depths(self, n, seed):
         tree = gen_random_tree(n, 5, seed)
+        depth = node_depths(tree)
         for u in range(1, tree.node_count):
-            assert tree.depth[u] == tree.depth[tree.parent[u]] + 1
+            assert depth[u] == depth[tree.parent[u]] + 1
 
 
 def assert_same_as_reference(edges):
@@ -201,6 +211,7 @@ def assert_same_as_reference(edges):
     expected = reference_build_tree(edges)
     kids = expected.pop("children")
     height = expected.pop("subtree_height")
+    depth = expected.pop("depth")
     assert {name: getattr(tree, name) for name in expected} == expected
     # preorder: each node, then its children's subtrees in input order;
     # with parent it fixes the children and their order
@@ -213,7 +224,7 @@ def assert_same_as_reference(edges):
     assert tree.preorder == tuple(order)
     # the search tables hold the by-id values at each preorder position
     assert tree.labels == tuple(tree.edge_label[v] for v in order)
-    assert tree.depths == tuple(tree.depth[v] for v in order)
+    assert tree.depths == tuple(depth[v] for v in order)
     assert tree.heights == tuple(height[v] for v in order)
 
 
@@ -394,9 +405,7 @@ class TestEquality:
         edges = [(0, 2, 1), (0, 1, 1), (1, 3, 2)]
         a, b = build_tree(edges), build_tree(list(edges))
         assert a == b and hash(a) == hash(b)
-        # reading the by-id depths caches them on a alone; == and hash stay
-        assert a.depth == (0, 1, 1, 2) and a.heights == (2, 0, 1, 0)
-        assert a == b and hash(a) == hash(b)
+        assert node_depths(a) == (0, 1, 1, 2) and a.heights == (2, 0, 1, 0)
         assert repr(a) == (
             "TextTree(node_count=4, parent=(-1, 0, 0, 1), edge_label=(0, 1, 1, 2), "
             "max_depth=2, preorder=(0, 2, 1, 3))"

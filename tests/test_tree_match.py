@@ -14,7 +14,13 @@ from oppm.stringmatch import MatchStats, match_string
 from oppm.tree import TextTree, build_tree
 from oppm.treematch import TreeMatchReport, match_tree
 from test_dag import increasing_map
-from test_tree import children, compute_subtree_heights, permuted_edges, tree_edges
+from test_tree import (
+    children,
+    compute_subtree_heights,
+    node_depths,
+    permuted_edges,
+    tree_edges,
+)
 
 EXAMPLE_EDGES = [(0, 1, 10), (1, 2, 20), (1, 3, 5), (2, 4, 30)]
 
@@ -36,9 +42,10 @@ def match_tree_on_path_equals_string(tables: PatternTables, tree: TextTree) -> b
         u = kids[u][0]
         labels.append(tree.edge_label[u])
     positions, _ = match_string(tables, labels)
+    depth = node_depths(tree)
     for flag in (True, False):
         report = match_tree(tables, tree, prune=flag)
-        if sorted(tree.depth[v] for v in report.matched_nodes) != positions:
+        if sorted(depth[v] for v in report.matched_nodes) != positions:
             return False
     return True
 
@@ -51,6 +58,7 @@ def reference_match_tree(tables, tree, prune):
     border = tables.border
     kids = children(tree)
     height = compute_subtree_heights(tree)
+    depth = node_depths(tree)
     path = [0] * tree.max_depth
     state = [0] * tree.node_count
     matched = []
@@ -66,7 +74,7 @@ def reference_match_tree(tables, tree, prune):
         frame[1] = slot + 1
         v = kids[u][slot]
         c = tree.edge_label[v]
-        d = tree.depth[u]
+        d = depth[u]
         q = state[u]
         pruned = False
         while True:
@@ -129,7 +137,8 @@ class TestMatchTree:
         inst = gen_adversarial(5, 3)
         report = match_tree(build_pattern_tables(inst.pattern), inst.tree)
         assert len(report.matched_nodes) == 8
-        assert all(inst.tree.depth[v] == 3 for v in report.matched_nodes)
+        depth = node_depths(inst.tree)
+        assert all(depth[v] == 3 for v in report.matched_nodes)
         assert report.matched_nodes == naive_match_tree(inst.pattern, inst.tree)
 
     def test_matched_nodes_are_ascending_and_deep_enough(self):
@@ -137,7 +146,8 @@ class TestMatchTree:
         p = (1, 2, 1)
         report = match_tree(build_pattern_tables(p), tree)
         assert report.matched_nodes == sorted(report.matched_nodes)
-        assert all(tree.depth[v] >= len(p) for v in report.matched_nodes)
+        depth = node_depths(tree)
+        assert all(depth[v] >= len(p) for v in report.matched_nodes)
 
     @given(tree_and_pattern())
     def test_prune_never_changes_matches(self, case):
@@ -217,7 +227,8 @@ class TestMatchTree:
         tables = build_pattern_tables((1, 3, 2, 4))
         report = match_tree(tables, tree)
         positions, _ = match_string(tables, labels)
-        assert [tree.depth[v] for v in report.matched_nodes] == positions
+        depth = node_depths(tree)
+        assert [depth[v] for v in report.matched_nodes] == positions
 
 
 class TestReferenceLoop:
@@ -279,7 +290,8 @@ class TestChainBridge:
         tables = build_pattern_tables((22, 41, 35, 37))
         assert match_tree_on_path_equals_string(tables, chain)
         report = match_tree(tables, chain)
-        assert [chain.depth[v] for v in report.matched_nodes] == [5]
+        depth = node_depths(chain)
+        assert [depth[v] for v in report.matched_nodes] == [5]
 
     def test_random_chains(self):
         rng = random.Random(44)
@@ -320,7 +332,8 @@ class TestPastOracleLimit:
         rng = random.Random(1711)
         for sigma, m in ((2, 3), (3, 5), (100, 4), (100, 7), (10**6, 4)):
             tree = gen_random_tree(cls.N, sigma, rng.randrange(2**30))
-            v = rng.choice([v for v in range(cls.N) if tree.depth[v] >= m])
+            depth = node_depths(tree)
+            v = rng.choice([v for v in range(cls.N) if depth[v] >= m])
             yield window(tree, v, m), tree
 
     def test_increasing_map_keeps_matches_and_counters(self):
@@ -349,6 +362,7 @@ class TestPastOracleLimit:
             assert nodes
             assert all(naive_isomorphic(p, window(tree, v, m)) for v in nodes)
             reported = set(nodes)
-            others = [v for v in range(tree.node_count) if tree.depth[v] >= m and v not in reported]
+            depth = node_depths(tree)
+            others = [v for v in range(tree.node_count) if depth[v] >= m and v not in reported]
             sample = rng.sample(others, 2000)
             assert not any(naive_isomorphic(p, window(tree, v, m)) for v in sample)
