@@ -1,12 +1,11 @@
 """Pattern preprocessing for order-preserving matching.
 
-A pattern is a sequence of 64-bit signed integers.  Two equal-length
-sequences are order-isomorphic when all pairwise comparisons agree, i.e.
-``x[i] <= x[j]`` exactly when ``y[i] <= y[j]``.  A compiled pattern drives
-a Morris-Pratt style automaton for this relation, whose state q is the
-length of the matched prefix.  It holds one tuple per state,
-``steps[q] = (oa, ob, f)``, and the string, tree and DAG matchers read
-nothing else:
+Two equal-length sequences are order-isomorphic when all pairwise
+comparisons agree, i.e. ``x[i] <= x[j]`` exactly when ``y[i] <= y[j]``.
+A compiled pattern drives a Morris-Pratt style automaton for this
+relation, whose state q is the length of the matched prefix.  It holds
+one tuple per state, ``steps[q] = (oa, ob, f)``, and the string, tree and
+DAG matchers read nothing else:
 
 * ``oa`` / ``ob`` point at the earlier pattern character that most
   tightly bounds character q from below / above (None where there is
@@ -24,6 +23,12 @@ The bounds come from ``compute_lmax_lmin`` as 1-based positions (0 for
 none); ``oa = lmax[q] - 1 - q``.  The border array is computed by the
 same loop and the same test as ``match_string``, run on the pattern
 itself.
+
+Labels may come from any totally ordered alphabet: compiling a pattern,
+``match_string`` and ``match_tree`` only sort labels and compare them
+with ``<``.  ``match_dag`` and ``opsm`` take numbers, which the DAG
+search's float infinities can bound, and ``build_dasg`` and ``opsm``
+hashable ones.  The CLI's files hold signed 64-bit integers.
 """
 
 from collections.abc import Sequence
@@ -42,15 +47,17 @@ class PatternTables(FrozenRecord):
     steps: tuple[tuple[int | None, int | None, int], ...]
 
 
-def _tight_lower(p: Sequence[int]) -> list[int]:
+def _tight_lower(p: Sequence[int], reverse: bool = False) -> list[int]:
     # Entry i is the 1-based position, within p[:i], of the largest value
-    # not exceeding p[i] (the rightmost one on ties), or 0.  The stable sort
-    # keeps tied values in position order, so that is the nearest position
-    # left of i among those sorted before it: one stack pass over the sorted
-    # order finds it in O(m), each position pushed and popped at most once.
+    # not exceeding p[i] (the smallest one not below it when ``reverse``),
+    # the rightmost one on ties, or 0.  The sort is stable under ``reverse``
+    # too, so tied values stay in position order, and that is the nearest
+    # position left of i among those sorted before it: one stack pass over
+    # the sorted order finds it in O(m), each position pushed and popped at
+    # most once.
     lower = [0] * len(p)
     stack: list[int] = []
-    for k in sorted(range(len(p)), key=p.__getitem__):
+    for k in sorted(range(len(p)), key=p.__getitem__, reverse=reverse):
         while stack and stack[-1] > k:
             stack.pop()
         if stack:
@@ -67,12 +74,13 @@ def compute_lmax_lmin(p: Sequence[int]) -> tuple[list[int], list[int]]:
     the rightmost position of the smallest value not below ``p[i]``.  A 0
     entry means no qualifying position exists.
 
-    ``lmin`` of ``p`` is ``lmax`` of ``-p`` (ties again go rightmost), so one
-    routine computes both: one stable sort, then one O(m) stack pass.
+    ``lmin`` is ``lmax`` under the reversed order (ties again go
+    rightmost), so one routine computes both: one stable sort, ascending or
+    descending, then one O(m) stack pass.  Labels are only compared.
     """
     if len(p) == 0:
         raise ValueError("pattern must be non-empty")
-    return _tight_lower(p), _tight_lower([-x for x in p])
+    return _tight_lower(p), _tight_lower(p, reverse=True)
 
 
 def _offsets(

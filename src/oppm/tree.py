@@ -14,7 +14,9 @@ positions are stored.
 
 ``build_tree`` takes any sized collection of edge triples and makes no
 per-node container: as it checks each edge it links the node to its
-parent's children in flat arrays, and then walks those once.
+parent's children in flat arrays, and then walks those once, filling
+``parent`` as it descends, so ``parent`` and ``preorder`` share one int
+object per node id.
 """
 
 from collections.abc import Iterable
@@ -50,7 +52,10 @@ def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:
     """Build and validate a TextTree from (parent, child, label) triples.
 
     ``edges`` is read once, and again only to name an unreachable node's
-    edge; no triple has to outlive its loop step.
+    edge; no triple, and no parent id in one, has to outlive its loop
+    step.  The validation pass checks each edge, stores its label and
+    links the child to its parent's children; the preorder walk of those
+    links then writes each node's parent, depth and preorder label.
     The node count is one more than the number of edges; ids must cover
     0..N-1 with node 0 the root.  Raises TreeValidationError naming the
     offending node on a duplicate child, out-of-range ids, or nodes not
@@ -59,13 +64,13 @@ def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:
     an edge list has several faults, the one of the earliest edge wins.
     """
     n = len(edges) + 1
-    parent = [-1] * n
+    child = bytearray(n)  # child[v] is 1 once an edge into v is read
     label = [0] * n
     # first[u] and last[u] are u's first and last child so far, after[v] the
-    # sibling after v; 0, the root, is nobody's child and means "none"
-    first = [0] * n
-    after = [0] * n
-    last = [0] * n
+    # sibling after v, each None for none; they hold the child column's ints
+    first = [None] * n
+    after = [None] * n
+    last = [None] * n
     for i, (u, v, lab) in enumerate(edges):
         if not 0 <= u < n:
             raise TreeValidationError(f"unknown parent id {u}", i)
@@ -73,29 +78,37 @@ def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:
             raise TreeValidationError(f"unknown child id {v}", i)
         if v == 0:
             raise TreeValidationError("node 0 is the root and cannot be a child", i)
-        if parent[v] >= 0:
+        if child[v]:
             raise TreeValidationError(f"duplicate child {v}", i)
-        parent[v] = u
+        child[v] = 1
         label[v] = lab
-        if last[u]:
-            after[last[u]] = v
-        else:
+        w = last[u]
+        if w is None:
             first[u] = v
+        else:
+            after[w] = v
         last[u] = v
-    del last
+    del child, last
 
-    # descend to each node's first child; a sibling still to visit waits on
-    # the stack with its depth
+    # descend to each node's first child, writing its parent from the node
+    # object the walk came from; a sibling still to visit waits on the stack
+    # with its depth and parent
+    parent = [-1] * n
     preorder = [0]
     depths = [0]
-    stack = [(first[0], 1)]
+    labels = [0]
+    stack = [(first[0], 1, 0)]
     while stack:
-        v, d = stack.pop()
-        while v:
+        v, d, u = stack.pop()
+        while v is not None:
             preorder.append(v)
             depths.append(d)
-            if after[v]:
-                stack.append((after[v], d))
+            labels.append(label[v])
+            parent[v] = u
+            w = after[v]
+            if w is not None:
+                stack.append((w, d, u))
+            u = v
             v = first[v]
             d += 1
     del first, after
@@ -122,7 +135,7 @@ def build_tree(edges: Iterable[tuple[int, int, int]]) -> TextTree:
             tall[d] = h + 1
 
     # each list gives way to its tuple before the next tuple is made
-    labels = tuple(map(label.__getitem__, preorder))
+    labels = tuple(labels)
     label = tuple(label)
     parent = tuple(parent)
     preorder = tuple(preorder)

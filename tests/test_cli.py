@@ -29,7 +29,7 @@ from oppm.dag import DagValidationError, build_dag, build_dasg
 from oppm.gen import gen_random_string, gen_random_tree
 from oppm.stringmatch import match_string
 from oppm.tree import TreeValidationError, build_tree
-from test_tree import node_depths
+from test_tree import node_depths, unshared_parents
 
 WORKED_PATTERN = "22 41 35 37\n"
 WORKED_TEXT = "63 18 48 29 42 56 25 51\n"
@@ -739,16 +739,19 @@ class TestLargeFiles:
     while it kept a list of every token and then listed every token of the
     line to find the fault's column); a 10^6-label string file given as a
     tree 6.2 MB for its header fault (8.8 MB while the header read its
-    whole first line); the tree file 7.2 MB, with 0.4 MB live as
-    build_tree starts, before any integer is converted (7.9 MB in all and
-    5.0 MB live while the parse converted the file into one flat tuple and
-    a token count per line before build_tree, 8.6 MB and 5.7 MB while it
-    also kept the file's text through build_tree, 9.7 and 13.8 MB while it
-    zipped its integers into a list of edge tuples, and 16.1 MB for both
-    while it kept a list of every token); the 41 547-edge DAG file 5.1 MB
-    (5.8 MB while the flat integers lived on through build_dag, 5.3 MB while
-    the parse held the whole text, 6.9 MB while it kept the text, the flat
-    integers and the line tallies through build_dag)."""
+    whole first line); the tree file 5.8 MB, with 0.4 MB live as
+    build_tree starts, before any integer is converted, and 4.8 MB live
+    once the tree is built (7.2 MB, and 6.2 MB built, while build_tree kept
+    the parent column's int objects beside the child column's; 7.9 MB, and
+    5.0 MB live as build_tree started, while the parse converted the file
+    into one flat tuple and a token count per line before build_tree, 8.6
+    MB and 5.7 MB while it also kept the file's text through build_tree,
+    9.7 and 13.8 MB while it zipped its integers into a list of edge
+    tuples, and 16.1 MB for both while it kept a list of every token); the
+    41 547-edge DAG file 5.1 MB (5.8 MB while the flat integers lived on
+    through build_dag, 5.3 MB while the parse held the whole text, 6.9 MB
+    while it kept the text, the flat integers and the line tallies through
+    build_dag)."""
 
     LABELS = 2 * 10**5
     NODES = 5 * 10**4
@@ -853,14 +856,22 @@ class TestLargeFiles:
         for end in self.ENDS:
             path.write_bytes(text.replace("\n", end).encode())
             at_build.clear()
-            peak, error = self.peak(parse_tree_file, path)
-            assert error is None
+            tracemalloc.start()
+            try:
+                tree = parse_tree_file(str(path))
+                built, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             # build_tree reads the edges as they are converted: as it starts,
             # only the header and the slice it was read from are in memory
             live, parse_peak = at_build[0]
             assert live < 1 * self.MB
             assert parse_peak < 1 * self.MB
-            assert peak < 7.8 * self.MB
+            assert peak < 6.4 * self.MB
+            # what stays is the tree, with one int object per node id
+            assert built < 5.4 * self.MB
+            big, unshared = unshared_parents(tree)
+            assert big > self.NODES // 2 and unshared == []
 
     @pytest.mark.parametrize(
         "text, message",

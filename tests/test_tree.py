@@ -410,3 +410,27 @@ class TestEquality:
             "TextTree(node_count=4, parent=(-1, 0, 0, 1), edge_label=(0, 1, 1, 2), "
             "max_depth=2, preorder=(0, 2, 1, 3))"
         )
+
+
+def unshared_parents(tree: TextTree) -> tuple[int, list[int]]:
+    """How many parent ids are past CPython's cached small ints (above 256),
+    and those of them that are not the very int object preorder holds for
+    that id."""
+    held = {v: v for v in tree.preorder}
+    big = [u for u in tree.parent if u > 256]
+    return len(big), [u for u in big if u is not held[u]]
+
+
+class TestOneIntPerNode:
+    """parent and preorder share one int object per node id: the parent
+    column's ints are only looked up, so they go with their triple."""
+
+    def test_list_of_parsed_edges(self):
+        tree = gen_random_tree(5000, 100, 31)
+        # each int() makes its own object, so the two columns share none
+        edges = [tuple(map(int, f"{u} {v} {c}".split())) for u, v, c in tree_edges(tree)]
+        random.Random(31).shuffle(edges)
+        built = build_tree(edges)
+        big, unshared = unshared_parents(built)
+        assert big > 1000 and unshared == []
+        assert built.parent == tree.parent and built.edge_label == tree.edge_label

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oppm.cli import ORACLE_LIMIT
+from oppm.cli import ORACLE_LIMIT, main
 from oppm.gen import gen_adversarial, gen_random_string, gen_random_tree
 from oppm.oracles import naive_isomorphic, naive_match_tree
 from oppm.pattern import PatternTables, build_pattern_tables, compute_lmax_lmin
@@ -366,3 +366,102 @@ class TestPastOracleLimit:
             others = [v for v in range(tree.node_count) if depth[v] >= m and v not in reported]
             sample = rng.sample(others, 2000)
             assert not any(naive_isomorphic(p, window(tree, v, m)) for v in sample)
+
+
+def string_trie(nodes, sigma, rng):
+    """Random strings over 1..sigma with shared prefixes, and their trie.
+
+    Each string is a random prefix of an earlier string (or nothing)
+    followed by fresh labels, until the trie has at least ``nodes`` nodes.
+    The trie's non-root ids are then permuted and its edges shuffled, so
+    siblings appear in no particular order.  Returns the strings, the edge
+    list, and for each string its path: ``path[d]`` is the node at depth d,
+    whose root path spells ``s[:d]``."""
+    child: dict[tuple[int, int], int] = {}
+    edges = []
+    strings, paths = [], []
+    while len(edges) + 1 < nodes:
+        s = []
+        if strings and rng.random() < 0.9:
+            base = rng.choice(strings)
+            s = base[: rng.randint(0, len(base))]
+        s = s + [rng.randint(1, sigma) for _ in range(rng.randint(0, 150))]
+        path = [0]
+        for c in s:
+            v = child.get((path[-1], c))
+            if v is None:
+                v = child[path[-1], c] = len(edges) + 1
+                edges.append((path[-1], v, c))
+            path.append(v)
+        strings.append(s)
+        paths.append(path)
+    new = list(range(1, len(edges) + 1))
+    rng.shuffle(new)
+    new = [0, *new]
+    edges = [(new[u], new[v], c) for u, v, c in edges]
+    rng.shuffle(edges)
+    return strings, edges, [[new[v] for v in path] for path in paths]
+
+
+def trie_matches(p, strings, paths):
+    """The trie nodes that the string matcher finds along each string."""
+    tables = build_pattern_tables(p)
+    found = set()
+    for s, path in zip(strings, paths):
+        found.update(path[e] for e in match_string(tables, s)[0])
+    return sorted(found)
+
+
+class TestStringSetTrie:
+    """The paper's tree case, a set of strings given as their trie: the node
+    at depth d on s's path has root path s[:d], so match_tree reports
+    exactly the nodes at the depths match_string ends at along each string.
+    No oracle is needed, so the tries run far past ORACLE_LIMIT."""
+
+    CASES = [(10**4, 2), (3 * 10**4, 10), (2 * 10**4, 100), (10**5, 1000)]
+
+    @staticmethod
+    def patterns(strings, sigma, rng):
+        """Random patterns, and windows of the strings, which match."""
+        for m in (1, 2, 4, 7):
+            yield [rng.randint(1, sigma) for _ in range(m)]
+        long = [s for s in strings if len(s) >= 12]
+        for m in (3, 6, 12):
+            s = rng.choice(long)
+            start = rng.randrange(len(s) - m + 1)
+            yield s[start : start + m]
+
+    @pytest.mark.parametrize("nodes, sigma", CASES)
+    def test_trie_matches_its_strings(self, nodes, sigma):
+        rng = random.Random(f"trie:{nodes}:{sigma}")
+        strings, edges, paths = string_trie(nodes, sigma, rng)
+        tree = build_tree(edges)
+        n = tree.node_count
+        assert n >= nodes and tree.max_depth == max(map(len, strings))
+        for p in self.patterns(strings, sigma, rng):
+            m = len(p)
+            expected = trie_matches(p, strings, paths)
+            tables = build_pattern_tables(p)
+            pruned = match_tree(tables, tree)
+            assert pruned.matched_nodes == expected
+            assert match_tree(tables, tree, prune=False).matched_nodes == expected
+            assert pruned.stats.goto_count <= n
+            assert pruned.stats.fail_count <= 4 * (n + m)
+            if m == 1:
+                assert len(expected) == n - 1
+
+    def test_written_file_through_match_tree(self, tmp_path, capsys):
+        rng = random.Random("trie:cli")
+        strings, edges, paths = string_trie(10**4, 20, rng)
+        p = next(s[:5] for s in strings if len(s) >= 5)
+        tree_path = tmp_path / "trie.txt"
+        lines = [f"tree {len(edges) + 1}", *(f"{u} {v} {c}" for u, v, c in edges)]
+        tree_path.write_text("\n".join(lines) + "\n")
+        pattern_path = tmp_path / "p.txt"
+        pattern_path.write_text(" ".join(map(str, p)) + "\n")
+        assert main(["match-tree", str(pattern_path), str(tree_path), "--stats"]) == 0
+        expected = trie_matches(p, strings, paths)
+        stats = match_tree(build_pattern_tables(p), build_tree(edges)).stats
+        out = "".join(f"{v}\n" for v in expected)
+        assert expected
+        assert capsys.readouterr().out == out + f"goto={stats.goto_count} fail={stats.fail_count}\n"
