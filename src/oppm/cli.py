@@ -17,6 +17,7 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import chain, islice
 
@@ -67,7 +68,10 @@ class ParseError(ValueError):
 # match-string, to build_tree three at a time (_TreeEdges), and into one
 # tuple for a pattern or a DAG file.
 
-_SLICE = 1 << 16
+# 16 Ki characters: a slice's list of token strings then stays below
+# glibc's 128 KiB mmap threshold, so the slices' lists reuse the heap's
+# free blocks instead of raising the process's peak
+_SLICE = 1 << 14
 
 _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 _TOKEN = re.compile(r"\S+")
@@ -117,16 +121,16 @@ def _convert(tokens: list[str]) -> list[int] | None:
 
 
 class _Input:
-    """One input file, read once, a slice at a time: ``header`` takes the
-    first content line of a tree or DAG file, and ``ints`` sets the line
-    rule for the text after it.  The _Input is then the view of that
-    text's integers: iterated, it yields them a slice's list at a time,
-    counting its content lines in ``lines`` and noting in ``wrong`` the
-    first of them without the rule's number of tokens, and its length is
-    the number of integers it has yielded.  Of the faults, only a byte
-    that is not valid UTF-8 is raised as it is read: ``finish`` reads to
-    the end and raises the first fault under the rule.  Every error reads
-    ``text`` to locate its fault."""
+    """One input file, read once, a slice of about _SLICE characters at a
+    time: ``header`` takes the first content line of a tree or DAG file,
+    and ``ints`` sets the line rule for the text after it.  The _Input is
+    then the view of that text's integers: iterated, it yields them a
+    slice's list at a time, counting its content lines in ``lines`` and
+    noting in ``wrong`` the first of them without the rule's number of
+    tokens, and its length is the number of integers it has yielded.  Of
+    the faults, only a byte that is not valid UTF-8 is raised as it is
+    read: ``finish`` reads to the end and raises the first fault under the
+    rule.  Every error reads ``text`` to locate its fault."""
 
     def __init__(self, path: str):
         self.path = path
@@ -417,16 +421,20 @@ def dag_file_text(dag: TextDag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, one str or an iterable of pieces, to stdout or to the
+    file ``out_path``, a piece at a time."""
+    pieces = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each takes the Namespace and returns its output text
+# subcommand handlers; each takes the Namespace and returns its output text,
+# or, for match-string and match-tree, its pieces (_match_lines)
 
 
 def _load_pattern(path: str) -> tuple[int, ...]:
@@ -442,15 +450,23 @@ def _oracle_fits(size: int, limit: int, what: str) -> None:
         raise UsageError("--oracle is limited to " + what.format(limit))
 
 
-def _match_lines(ids, stats=None) -> str:
-    """One id per line, then ``goto=<n> fail=<n>`` if ``stats`` is given."""
-    text = "".join(map("{}\n".format, ids))
+# match ids formatted and written at a time
+_BATCH = 1 << 9
+
+
+def _match_lines(ids, stats=None) -> Iterator[str]:
+    """One id per line, then ``goto=<n> fail=<n>`` if ``stats`` is given, as
+    pieces of up to _BATCH lines.  A batch is formatted by one % operation,
+    so no str is made per id.  The pieces are formatted only as _emit
+    writes them, so a handler raises every fault before it returns them."""
+    ids = iter(ids)
+    while batch := tuple(islice(ids, _BATCH)):
+        yield ("%d\n" * len(batch)) % batch
     if stats is not None:
-        text += f"goto={stats.goto_count} fail={stats.fail_count}\n"
-    return text
+        yield f"goto={stats.goto_count} fail={stats.fail_count}\n"
 
 
-def _match_string(ns: argparse.Namespace) -> str:
+def _match_string(ns: argparse.Namespace) -> Iterator[str]:
     p = _load_pattern(ns.pattern)
     if ns.oracle:
         from .oracles import naive_match_string
@@ -466,7 +482,7 @@ def _match_string(ns: argparse.Namespace) -> str:
     return _match_lines(positions, stats if ns.stats else None)
 
 
-def _match_tree(ns: argparse.Namespace) -> str:
+def _match_tree(ns: argparse.Namespace) -> Iterator[str]:
     p = _load_pattern(ns.pattern)
     tree = parse_tree_file(ns.tree)
     if ns.oracle:

@@ -21,6 +21,9 @@ def match_string(
     ``t`` is a sequence of labels, or an iterable of sequences (chunks)
     whose concatenation is the text; the text is then read one chunk at a
     time, and no more of it is kept than the automaton can look back at.
+    A ``t`` that is not a ``Sequence`` is always read as chunks: a
+    generator of ``str`` or tuple labels would be read as their characters
+    or entries, so such labels must come as a list or a tuple.
 
     Returns the ascending list of 1-based end positions together with the
     transition counts.  Overlapping occurrences are all reported: after an

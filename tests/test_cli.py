@@ -27,8 +27,10 @@ from oppm.cli import (
 )
 from oppm.dag import DagValidationError, build_dag, build_dasg
 from oppm.gen import gen_random_string, gen_random_tree
+from oppm.pattern import build_pattern_tables
 from oppm.stringmatch import match_string
 from oppm.tree import TreeValidationError, build_tree
+from oppm.treematch import match_tree
 from test_tree import node_depths, unshared_parents
 
 WORKED_PATTERN = "22 41 35 37\n"
@@ -709,7 +711,9 @@ def test_parser_agrees_with_token_reference_at_every_slice_size(tmp_path, monkey
     assert any(b is None and not a.isspace() for a, b in seams)  # no final line end
 
 
-@pytest.mark.parametrize("size, seam", [(16, 8192), (None, 65536)], ids=["short", "default"])
+@pytest.mark.parametrize(
+    "size, seam", [(16, 8192), (None, cli._SLICE)], ids=["short", "default"]
+)
 def test_decoded_chunks_end_anywhere(tmp_path, monkeypatch, size, seam):
     """Text mode decodes a file a chunk of bytes at a time: 8192 bytes for
     short reads, a read's worth at the default size.  A chunk that ends
@@ -734,20 +738,24 @@ def test_decoded_chunks_end_anywhere(tmp_path, monkeypatch, size, seam):
 
 class TestLargeFiles:
     """Long lines and the parsers' tracemalloc peaks.  The peaks measured on
-    Python 3.11: the string file 7.7 MB, and 7.7 MB for the fault at its end
-    (8.6 MB for both while the parse held the whole text, 18.7 and 44.9 MB
-    while it kept a list of every token and then listed every token of the
-    line to find the fault's column); a 10^6-label string file given as a
-    tree 6.2 MB for its header fault (8.8 MB while the header read its
-    whole first line); the tree file 5.8 MB, with 0.4 MB live as
-    build_tree starts, before any integer is converted, and 4.8 MB live
-    once the tree is built (7.2 MB, and 6.2 MB built, while build_tree kept
-    the parent column's int objects beside the child column's; 7.9 MB, and
-    5.0 MB live as build_tree started, while the parse converted the file
-    into one flat tuple and a token count per line before build_tree, 8.6
-    MB and 5.7 MB while it also kept the file's text through build_tree,
-    9.7 and 13.8 MB while it zipped its integers into a list of edge
-    tuples, and 16.1 MB for both while it kept a list of every token); the
+    Python 3.11: the string file 6.3 MB, and 7.3 MB (LF) and 8.0 MB (CRLF)
+    for the fault at its end, where reading the whole text to locate the
+    fault sets the peak (7.7 MB for all three with slices of 64 Ki
+    characters, 8.6 MB while the parse held the whole text, 18.7 and 44.9
+    MB while it kept a list of every token and then listed every token of
+    the line to find the fault's column); a 10^6-label string file given
+    as a tree 5.9 MB for its header fault (6.2 MB with 64 Ki-character
+    slices, 8.8 MB while the header read its whole first line); the tree
+    file 5.4 MB, with 0.1 MB live as build_tree starts, before any integer
+    is converted, and 4.8 MB live once the tree is built (5.8 MB, and 0.4
+    MB as build_tree started, with 64 Ki-character slices; 7.2 MB, and 6.2
+    MB built, while build_tree kept the parent column's int objects beside
+    the child column's; 7.9 MB, and 5.0 MB live as build_tree started,
+    while the parse converted the file into one flat tuple and a token
+    count per line before build_tree, 8.6 MB and 5.7 MB while it also kept
+    the file's text through build_tree, 9.7 and 13.8 MB while it zipped its
+    integers into a list of edge tuples, and 16.1 MB for both while it kept
+    a list of every token); the
     41 547-edge DAG file 5.1 MB (5.8 MB while the flat integers lived on
     through build_dag, 5.3 MB while the parse held the whole text, 6.9 MB
     while it kept the text, the flat integers and the line tallies through
@@ -820,19 +828,33 @@ class TestLargeFiles:
         for end in self.ENDS:
             path.write_bytes(text.replace("\n", end).encode())
             peak, error = self.peak(parse_pattern_file, path)
-            assert error is None and peak < 8.3 * self.MB
+            assert error is None and peak < 6.9 * self.MB
 
     def test_match_string_does_not_hold_the_text(self, tmp_path, files, capsys):
-        # the text goes to the automaton a slice at a time: 4.0 MB, where
-        # the tuple of all its integers took 9.7 MB
+        # the text goes to the automaton a slice at a time: 2.0 MB (3.9 MB
+        # with slices of 64 Ki characters and the ids joined into one text),
+        # where the tuple of all its integers took 9.7 MB
         path = tmp_path / "s.txt"
         path.write_text(pattern_file_text(gen_random_string(self.LABELS, 1000, 1)))
         argv = ["match-string", files("p.txt", "2 1 3\n"), str(path), "--stats"]
         codes = []
         peak, error = self.peak(lambda _: codes.append(main(argv)), path)
         assert codes == [0] and error is None
-        assert peak < 5 * self.MB
+        assert peak < 2.5 * self.MB
         assert f"goto={self.LABELS} " in capsys.readouterr().out
+
+    def test_match_string_output_is_written_a_batch_at_a_time(self, tmp_path, files):
+        # 10^5 matches: their ids are formatted _BATCH lines at a time, not
+        # as one str each joined into one text
+        path = tmp_path / "s.txt"
+        path.write_text(pattern_file_text(gen_random_string(self.LABELS, 1000, 1)))
+        out = tmp_path / "out.txt"
+        argv = ["match-string", files("p.txt", "1 2\n"), str(path), "--stats", "--out", str(out)]
+        codes = []
+        peak, error = self.peak(lambda _: codes.append(main(argv)), path)
+        assert codes == [0] and error is None
+        assert peak < 5.5 * self.MB
+        assert out.read_text().count("\n") > 9 * 10**4
 
     def test_string_file_as_a_tree(self, tmp_path):
         # the header is refused once its line holds a token too many, not
@@ -841,7 +863,7 @@ class TestLargeFiles:
         path.write_text(pattern_file_text(gen_random_string(10**6, 100, 1)))
         peak, error = self.peak(parse_tree_file, path)
         assert str(error) == f"{path}:1:1: expected header 'tree N'"
-        assert peak < 7 * self.MB
+        assert peak < 6.5 * self.MB
 
     def test_tree_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
@@ -865,9 +887,9 @@ class TestLargeFiles:
             # build_tree reads the edges as they are converted: as it starts,
             # only the header and the slice it was read from are in memory
             live, parse_peak = at_build[0]
-            assert live < 1 * self.MB
-            assert parse_peak < 1 * self.MB
-            assert peak < 6.4 * self.MB
+            assert live < 0.25 * self.MB
+            assert parse_peak < 0.25 * self.MB
+            assert peak < 5.9 * self.MB
             # what stays is the tree, with one int object per node id
             assert built < 5.4 * self.MB
             big, unshared = unshared_parents(tree)
@@ -1308,6 +1330,56 @@ def test_out_file_gets_exactly_the_stdout_text(files, tmp_path, capsys, command,
     assert main([*argv, out_flag, str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode("utf-8")
+
+
+class TestMatchOutputBatches:
+    """match-string and match-tree format their ids _BATCH lines at a time.
+    Wherever the match count falls against the batch edges, stdout, an
+    --out file and a child process's stdout hold the ids one per line, then
+    the --stats line, byte for byte, in the plain, --stats and --oracle
+    forms."""
+
+    B = cli._BATCH
+    COUNTS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+
+    @staticmethod
+    def check(tmp_path, capsys, argv, ids, stats):
+        lines = "".join(f"{i}\n" for i in ids)
+        with_stats = lines + f"goto={stats.goto_count} fail={stats.fail_count}\n"
+        out = tmp_path / "out.txt"
+        for flags, want in [([], lines), (["--stats"], with_stats), (["--oracle"], lines)]:
+            assert main([*argv, *flags]) == 0
+            assert capsys.readouterr() == (want, "")
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+            assert out.read_bytes() == want.encode()
+        proc = _child(["-m", "oppm.cli", *argv, "--stats"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, with_stats.encode(), b"")
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_match_string(self, tmp_path, files, capsys, count):
+        # "1 2" ends a match at every label above the one before it: a
+        # falling run, then a rising run of count + 1 labels below it
+        rng = random.Random(count)
+        fall = sorted(rng.sample(range(10**9, 2 * 10**9), 5), reverse=True)
+        t = fall + sorted(rng.sample(range(-(10**9), 10**9), count + 1))
+        ids, stats = match_string(build_pattern_tables((1, 2)), t)
+        assert len(ids) == count and len(t) <= cli.ORACLE_LIMIT
+        argv = ["match-string", files("p.txt", "1 2\n"), files("t.txt", pattern_file_text(t))]
+        self.check(tmp_path, capsys, argv, ids, stats)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_match_tree(self, tmp_path, files, capsys, count):
+        # a path of rising labels through shuffled ids: every node two or
+        # more edges below the root ends a match of "1 2"
+        rng = random.Random(count)
+        n = count + 2
+        path = [0, *rng.sample(range(1, n), n - 1)]
+        tree = build_tree([(u, v, k) for k, (u, v) in enumerate(zip(path, path[1:]))])
+        report = match_tree(build_pattern_tables((1, 2)), tree, prune=True)
+        assert len(report.matched_nodes) == count and n <= cli.ORACLE_LIMIT
+        argv = ["match-tree", files("p.txt", "1 2\n"), files("t.txt", tree_file_text(tree))]
+        self.check(tmp_path, capsys, argv, report.matched_nodes, report.stats)
 
 
 class TestExitCodes:
